@@ -133,13 +133,9 @@ Throughput MeasureReads(const ServeBenchSetup& setup, size_t buckets,
   return result;
 }
 
-// COW-vs-clone publish head-to-head. Both services run the identical live
-// load (saturating feeder + concurrent readers); the only difference is
-// ServiceConfig::clone_publish. Each run records into a private registry so
-// the publish-latency histogram covers exactly that run. The COW publish
-// hands out the working tree's shared root in O(touched path), so its
-// publish cost must be strictly below the deep clone's — that is the whole
-// point of the copy-on-write tree, and the gate in main() enforces it.
+// Publish latency under live load (saturating feeder + concurrent readers).
+// The run records into a private registry so the publish-latency histogram
+// covers exactly this run, not the rows before it.
 struct PublishProfile {
   double live_rps = 0.0;
   double publish_p99_ms = 0.0;
@@ -148,11 +144,9 @@ struct PublishProfile {
 };
 
 PublishProfile MeasurePublish(const ServeBenchSetup& setup, size_t buckets,
-                              size_t readers, size_t reads_per_thread,
-                              bool clone_publish) {
+                              size_t readers, size_t reads_per_thread) {
   obs::MetricsRegistry registry;
   ServiceConfig config;
-  config.clone_publish = clone_publish;
   config.metrics = &registry;
   HistogramService service(MakeTrainedHistogram(setup, buckets),
                            *setup.executor, config);
@@ -351,27 +345,13 @@ int main(int argc, char** argv) {
   }
   table.Print();
 
-  // COW vs clone-on-publish under the identical live load. Publish cost is
-  // machine-independent in *ratio* form: both runs execute on the same box,
-  // so the deep clone's per-publish cost must exceed the COW handoff's
-  // regardless of absolute speed.
-  PublishProfile cow =
-      MeasurePublish(setup, buckets, 2, reads_per_thread, false);
-  PublishProfile clone =
-      MeasurePublish(setup, buckets, 2, reads_per_thread, true);
-  const double publish_mean_ratio =
-      clone.publish_mean_ms / std::max(cow.publish_mean_ms, 1e-12);
-  const double publish_p99_ratio =
-      clone.publish_p99_ms / std::max(cow.publish_p99_ms, 1e-12);
-  const double cow_live_ratio = cow.live_rps / clone.live_rps;
+  const PublishProfile publish =
+      MeasurePublish(setup, buckets, 2, reads_per_thread);
   std::printf(
-      "publish cow vs clone: mean %.4f ms vs %.4f ms (%.1fx), p99 %.4f ms "
-      "vs %.4f ms (%.1fx), live reads %.0f/s vs %.0f/s (%.2fx), "
-      "%zu vs %zu publishes\n",
-      cow.publish_mean_ms, clone.publish_mean_ms, publish_mean_ratio,
-      cow.publish_p99_ms, clone.publish_p99_ms, publish_p99_ratio,
-      cow.live_rps, clone.live_rps, cow_live_ratio, cow.publishes,
-      clone.publishes);
+      "publish under live load: mean %.4f ms, p99 %.4f ms, live reads "
+      "%.0f/s, %zu publishes\n",
+      publish.publish_mean_ms, publish.publish_p99_ms, publish.live_rps,
+      publish.publishes);
 
   // Hot-swap liveness: read throughput with a rebuild parked in flight must
   // stay within 10% of the live steady state (the ISSUE's acceptance bound)
@@ -396,50 +376,8 @@ int main(int argc, char** argv) {
            {"floor", floor},
            {"rebuild_window_ratio", rebuild_ratio},
            {"rebuild_floor", rebuild_floor},
-           {"publish_mean_ms_cow", cow.publish_mean_ms},
-           {"publish_mean_ms_clone", clone.publish_mean_ms},
-           {"publish_p99_ms_cow", cow.publish_p99_ms},
-           {"publish_p99_ms_clone", clone.publish_p99_ms},
-           {"publish_mean_ratio", publish_mean_ratio},
-           {"publish_p99_ratio", publish_p99_ratio},
-           {"cow_live_ratio", cow_live_ratio}})) {
-    return EXIT_FAILURE;
-  }
-
-  // The COW publish gates. The mean is continuous, so "strictly cheaper" is
-  // a robust same-box comparison; the p99 comes from log-scale buckets and
-  // only has to not regress (both publishes can land in the lowest bucket).
-  // Live read throughput under COW must hold the clone path's level — the
-  // zero-copy publish exists to make publishes cheaper, never to tax
-  // readers; the threshold leaves room for scheduler noise on busy runners.
-  if (cow.publishes == 0 || clone.publishes == 0) {
-    std::fprintf(stderr, "FAIL: publish head-to-head never published "
-                 "(cow %zu, clone %zu)\n", cow.publishes, clone.publishes);
-    return EXIT_FAILURE;
-  }
-  if (publish_mean_ratio <= 1.0) {
-    std::fprintf(stderr,
-                 "FAIL: COW publish is not strictly cheaper than the deep "
-                 "clone (mean %.4f ms vs %.4f ms)\n",
-                 cow.publish_mean_ms, clone.publish_mean_ms);
-    return EXIT_FAILURE;
-  }
-  if (publish_p99_ratio < 1.0) {
-    std::fprintf(stderr,
-                 "FAIL: COW publish p99 regressed vs the deep clone "
-                 "(%.4f ms vs %.4f ms)\n",
-                 cow.publish_p99_ms, clone.publish_p99_ms);
-    return EXIT_FAILURE;
-  }
-  // On a box with cores to spare, readers must not pay for the zero-copy
-  // publish. On 1-2 cores the path-copy work that COW moves from publish
-  // into refinement legitimately competes with readers for CPU, so those
-  // machines only report the ratio.
-  if (many_cores && cow_live_ratio < 0.9) {
-    std::fprintf(stderr,
-                 "FAIL: COW publishing dented live read throughput vs the "
-                 "clone path (%.2fx)\n",
-                 cow_live_ratio);
+           {"publish_mean_ms_cow", publish.publish_mean_ms},
+           {"publish_p99_ms_cow", publish.publish_p99_ms}})) {
     return EXIT_FAILURE;
   }
 

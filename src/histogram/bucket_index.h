@@ -16,9 +16,9 @@ namespace sthist {
 /// \file
 /// Adapter between a bucket-tree histogram (STHoles, ISOMER) and the flat
 /// SoA spatial index, plus the indexed replay of their shared estimation
-/// recursion. The probe layer is FlatBoxIndex (DESIGN.md §15); the
-/// maintenance rules below are unchanged from the pointer-based R-tree it
-/// replaced (§10).
+/// recursion. The probe layer is FlatBoxIndex (DESIGN.md §15); when the
+/// index is rebuilt, extended or invalidated follows the maintenance table
+/// in DESIGN.md §10.
 ///
 /// The bitwise-equivalence contract (DESIGN.md §10) rests on one IEEE-754
 /// identity: for the non-negative terms these estimators produce, adding or

@@ -51,7 +51,7 @@ class STGridHistogram : public Histogram {
   ///
   /// The grid is its own spatial index: per-dimension binary search finds
   /// the overlapped cell ranges directly, so only those cells are visited
-  /// (see DESIGN.md §10 on why no R-tree is layered on top).
+  /// (see DESIGN.md §10 on why no bucket index is layered on top).
   double Estimate(const Box& query) const override;
 
   /// Naive full-tensor scan over every cell, retained as the differential

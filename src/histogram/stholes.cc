@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <mutex>
 
@@ -803,107 +802,6 @@ size_t STHoles::SharedNodeCount() const {
   return shared;
 }
 
-std::string STHoles::Serialize() const {
-  std::string out = "STHoles v1 dim=" + std::to_string(root_->box.dim()) +
-                    " buckets=" + std::to_string(bucket_count_) + "\n";
-  char buf[64];
-  std::vector<std::pair<const Bucket*, size_t>> stack = {{root_.get(), 0}};
-  while (!stack.empty()) {
-    auto [b, depth] = stack.back();
-    stack.pop_back();
-    out += std::to_string(depth);
-    for (size_t d = 0; d < b->box.dim(); ++d) {
-      std::snprintf(buf, sizeof(buf), " %.17g %.17g", b->box.lo(d),
-                    b->box.hi(d));
-      out += buf;
-    }
-    std::snprintf(buf, sizeof(buf), " %.17g\n", b->frequency);
-    out += buf;
-    for (auto it = b->children.rbegin(); it != b->children.rend(); ++it) {
-      stack.push_back({it->get(), depth + 1});
-    }
-  }
-  return out;
-}
-
-std::unique_ptr<STHoles> STHoles::Deserialize(const std::string& text,
-                                              const STHolesConfig& config) {
-  size_t dim = 0, buckets = 0;
-  int header_len = 0;
-  if (std::sscanf(text.c_str(), "STHoles v1 dim=%zu buckets=%zu\n%n", &dim,
-                  &buckets, &header_len) != 2 ||
-      dim == 0 || buckets == 0) {
-    return nullptr;
-  }
-  // Size sanity before any allocation scales with the header's claims: every
-  // bucket line carries at least 2*dim numbers separated by spaces (>= 4
-  // characters per dimension) plus a depth, so headers promising more than
-  // the text could possibly hold are corrupt — reject them instead of
-  // attempting a multi-gigabyte reserve.
-  if (dim > text.size() / 4 || buckets > text.size()) return nullptr;
-
-  const char* cursor = text.c_str() + header_len;
-  std::unique_ptr<STHoles> hist;
-  std::vector<Bucket*> path;  // path[i] = last bucket seen at depth i.
-
-  for (size_t line = 0; line < buckets; ++line) {
-    int consumed = 0;
-    size_t depth = 0;
-    if (std::sscanf(cursor, "%zu%n", &depth, &consumed) != 1) return nullptr;
-    cursor += consumed;
-
-    std::vector<double> lo(dim), hi(dim);
-    for (size_t d = 0; d < dim; ++d) {
-      if (std::sscanf(cursor, "%lf %lf%n", &lo[d], &hi[d], &consumed) != 2) {
-        return nullptr;
-      }
-      // Explicit finiteness checks: scanf happily parses "nan" and "inf",
-      // and NaN slips through ordering comparisons (NaN > x is false), so
-      // `lo > hi` alone would admit poisoned bounds.
-      if (!std::isfinite(lo[d]) || !std::isfinite(hi[d]) || lo[d] > hi[d]) {
-        return nullptr;
-      }
-      cursor += consumed;
-    }
-    double frequency = 0.0;
-    if (std::sscanf(cursor, "%lf%n", &frequency, &consumed) != 1) {
-      return nullptr;
-    }
-    cursor += consumed;
-    if (!std::isfinite(frequency) || frequency < 0.0) return nullptr;
-
-    if (line == 0) {
-      if (depth != 0) return nullptr;
-      Box domain(std::move(lo), std::move(hi));
-      if (domain.Volume() <= 0.0) return nullptr;
-      hist = std::unique_ptr<STHoles>(
-          new STHoles(domain, frequency, config));
-      path = {hist->root_.get()};
-      continue;
-    }
-    if (depth == 0 || depth > path.size()) return nullptr;
-
-    auto bucket = std::make_shared<Bucket>();
-    bucket->box = Box(std::move(lo), std::move(hi));
-    bucket->frequency = frequency;
-    Bucket* parent = path[depth - 1];
-    if (!parent->box.Contains(bucket->box)) return nullptr;
-    for (const auto& sibling : parent->children) {
-      if (sibling->box.Intersects(bucket->box)) return nullptr;
-    }
-    Bucket* raw = bucket.get();
-    parent->children.push_back(std::move(bucket));
-    ++hist->bucket_count_;
-    path.resize(depth);
-    path.push_back(raw);
-  }
-  // The header's bucket count is the whole payload; anything besides
-  // trailing whitespace after the last bucket line is corruption.
-  cursor += std::strspn(cursor, " \t\r\n");
-  if (*cursor != '\0') return nullptr;
-  return hist;
-}
-
 // ---------------------------------------------------------------------------
 // Binary snapshot format (DESIGN.md §17)
 // ---------------------------------------------------------------------------
@@ -1014,8 +912,12 @@ StatusOr<std::unique_ptr<STHoles>> STHoles::DeserializeBinary(
         return Status::InvalidArgument("snapshot root bucket is not depth 0");
       }
       Box domain(std::move(lo), std::move(hi));
-      if (domain.Volume() <= 0.0) {
-        return Status::InvalidArgument("snapshot domain has zero volume");
+      // Negated so that a NaN volume (an overflowing extent times a zero
+      // one) is rejected too: the constructor aborts on any volume that is
+      // not positive.
+      if (!(domain.Volume() > 0.0)) {
+        return Status::InvalidArgument(
+            "snapshot domain has zero or NaN volume");
       }
       hist = std::unique_ptr<STHoles>(new STHoles(domain, frequency, config));
       path = {hist->root_.get()};

@@ -120,16 +120,6 @@ class STHoles : public Histogram {
   /// Pre-order dump of the bucket tree (root first).
   std::vector<BucketInfo> Dump() const;
 
-  /// Serializes the bucket tree to a portable text form (version header +
-  /// one line per bucket: depth, bounds, frequency). Round-trips through
-  /// Deserialize with bit-exact estimates.
-  std::string Serialize() const;
-
-  /// Reconstructs a histogram from Serialize() output. Returns nullptr when
-  /// the text is malformed or violates the bucket-tree invariants.
-  static std::unique_ptr<STHoles> Deserialize(const std::string& text,
-                                              const STHolesConfig& config);
-
   /// Version of the binary snapshot format SerializeBinary emits.
   /// DeserializeBinary accepts exactly this version and rejects everything
   /// else with a diagnostic naming both versions (DESIGN.md §17 spells out

@@ -12,9 +12,8 @@ namespace sthist {
 
 namespace {
 
-// Dimension along which the entry centers of [begin, end) spread widest —
-// the same partitioning rule as RTree::WidestCenterDim, so the flat tree
-// and the R-tree cut the same planes.
+// Dimension along which the entry centers of [begin, end) spread widest:
+// the axis Build median-splits a node's entries along.
 size_t WidestCenterDim(const FlatBoxIndex::Entry* begin,
                        const FlatBoxIndex::Entry* end) {
   const size_t dim = begin->box.dim();
@@ -219,7 +218,7 @@ FlatBoxIndex::ProbeStats FlatBoxIndex::Probe(
       const int32_t id = stack[--top];
       ++stats.node_visits;
       // Closed overlap is a superset of open-interior overlap, so it is a
-      // valid prune for both modes (same rule as RTree::Probe).
+      // valid prune for both modes.
       const double* nlo = node_lo_.data() + static_cast<size_t>(id) * dim_;
       const double* nhi = node_hi_.data() + static_cast<size_t>(id) * dim_;
       bool overlap = true;

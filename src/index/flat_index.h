@@ -6,37 +6,47 @@
 #include <vector>
 
 #include "core/box.h"
-#include "index/rtree.h"  // BoxOverlap
 
 namespace sthist {
 
-/// Flattened, cache-friendly spatial index over (box, id) entries — the
-/// structure-of-arrays replacement for the pointer-based RTree on the
-/// estimation hot path (DESIGN.md §15).
+/// Overlap predicate a probe matches entries against.
+enum class BoxOverlap {
+  /// Open interiors overlap: the intersection has positive extent in every
+  /// dimension (Box::Intersects). Boxes merely sharing a boundary miss.
+  kOpenInterior,
+  /// Closed intervals overlap: touching boundaries and degenerate
+  /// (zero-extent) boxes count. A superset of kOpenInterior.
+  kClosed,
+};
+
+/// Spatial index over (box, id) entries answering box-intersection probes:
+/// the index the bucket-tree histograms keep their buckets in, laid out for
+/// the estimation hot path (DESIGN.md §15).
 ///
 /// Layout. Entry bounds live in contiguous per-dimension planes
 /// (`lo[d * stride + slot]`), so a probe touches long runs of doubles
 /// instead of chasing per-entry `Box` heap vectors, and box-intersection
 /// tests vectorize over 4 (AVX2) or 2 (NEON) entries at a time through
 /// core/simd.h. The tree over those entries is a balanced binary partition
-/// (median split of entry centers along the widest-spread dimension — the
-/// same partitioning RTree::Bulk uses) linearized breadth-first into flat
-/// node arrays: node bounds in their own contiguous planes, children
-/// addressed by index with the right child always at `left + 1`. Leaves own
-/// fixed runs of slots padded to the SIMD block width with never-matching
-/// sentinel bounds (`lo = +inf, hi = -inf`), so the kernel always runs full
-/// blocks.
+/// (median split of entry centers along the widest-spread dimension, the
+/// counting k-d tree's partitioning generalized from points to boxes)
+/// linearized breadth-first into flat node arrays: node bounds in their own
+/// contiguous planes, children addressed by index with the right child
+/// always at `left + 1`. Leaves own fixed runs of slots padded to the SIMD
+/// block width with never-matching sentinel bounds (`lo = +inf, hi = -inf`),
+/// so the kernel always runs full blocks.
 ///
 /// Maintenance. `Bulk` rebuilds from scratch; `Insert` appends to a small
 /// overflow tail (scanned contiguously on every probe) and folds the whole
-/// index into a fresh bulk build once the tail outgrows its budget — the
-/// incremental path a pure-drill append takes, mirroring RTree::Insert's
-/// role in the §10 maintenance table.
+/// index into a fresh bulk build once the tail outgrows its budget. Insert
+/// is the incremental path a pure-drill append takes in the §10 maintenance
+/// table.
 ///
 /// Probes are const, allocation-free once `out`'s capacity is warm
 /// (fixed-size traversal stack, fixed per-leaf hit buffer), and safe to run
-/// concurrently; Bulk/Insert require exclusive access. Like RTree, probes
-/// append matching ids in unspecified order without deduplication.
+/// concurrently; Bulk/Insert require exclusive access. Probes append the ids
+/// of matching entries in unspecified order, without ranking or
+/// deduplication.
 class FlatBoxIndex {
  public:
   /// One indexed element. All boxes in one index share a dimensionality.
@@ -48,8 +58,7 @@ class FlatBoxIndex {
   /// Work done by one probe, for the index.flat.* metrics (DESIGN.md §13).
   struct ProbeStats {
     /// Tree nodes touched (including pruned ones), plus one for the
-    /// overflow tail when it was scanned. Comparable to RTree::Probe's
-    /// return value.
+    /// overflow tail when it was scanned.
     uint32_t node_visits = 0;
     /// SIMD-width entry blocks run through the intersection kernel.
     uint32_t entry_blocks = 0;
@@ -84,8 +93,8 @@ class FlatBoxIndex {
   uint64_t compactions() const { return compactions_; }
 
  private:
-  // Leaf fan-out before padding. Larger than RTree's 8: the vectorized leaf
-  // scan makes wide leaves cheap, and fewer nodes mean fewer prune tests.
+  // Leaf fan-out before padding. Wide because the vectorized leaf scan makes
+  // wide leaves cheap, and fewer nodes mean fewer prune tests.
   static constexpr uint32_t kLeafCapacity = 16;
   // Slots per SIMD block; leaves are padded to a multiple of this.
   static constexpr uint32_t kBlock = 4;

@@ -98,9 +98,7 @@ HistogramService::HistogramService(std::unique_ptr<Histogram> initial,
     rebuild_seconds_ = registry_->latency("serve.reinit.rebuild_seconds");
   }
 
-  std::shared_ptr<const Histogram> first = config_.clone_publish
-                                               ? working_->Clone()
-                                               : working_->Snapshot();
+  std::shared_ptr<const Histogram> first = working_->Snapshot();
   STHIST_CHECK_MSG(first != nullptr,
                    "HistogramService needs a histogram supporting Clone()");
   snapshot_.store(std::move(first));
@@ -173,7 +171,7 @@ void HistogramService::RefinerLoop() {
       if (n == 0) break;
     }
     for (const Feedback& feedback : batch) ApplyFeedback(feedback);
-    // Publish once per applied batch: under load that is one clone per
+    // Publish once per applied batch: under load that is one snapshot per
     // publish_batch items, when idle one per item — the queue being the
     // batching mechanism means freshness degrades only when throughput
     // actually demands it.
@@ -335,12 +333,8 @@ bool HistogramService::CompleteSwap() {
 
 void HistogramService::Publish() {
   auto start = std::chrono::steady_clock::now();
-  // The COW snapshot is O(touched path) — the per-publish deep clone this
-  // replaces was the publish-cadence ceiling (ROADMAP item 1); clone_publish
-  // keeps the old path selectable for benches and as an escape hatch.
-  std::shared_ptr<const Histogram> snap = config_.clone_publish
-                                              ? working_->Clone()
-                                              : working_->Snapshot();
+  // COW snapshot: O(touched path), DESIGN.md §17.
+  std::shared_ptr<const Histogram> snap = working_->Snapshot();
   STHIST_CHECK(snap != nullptr);
   double seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)

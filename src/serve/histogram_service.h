@@ -93,19 +93,12 @@ struct ServiceConfig {
   /// Maximum feedback items the refiner applies between snapshot publishes
   /// (the staleness/throughput dial). A publish also happens whenever the
   /// queue drains, so a lightly loaded service stays near-fresh and a
-  /// backlogged one amortizes the clone cost over up to this many items.
+  /// backlogged one amortizes the publish cost over up to this many items.
   size_t publish_batch = 64;
 
   /// Threads for EstimateBatch on the served snapshot (0 = hardware
   /// concurrency, 1 = inline), forwarded to Histogram::EstimateBatch.
   size_t estimate_threads = 1;
-
-  /// true: publish deep clones (Histogram::Clone) instead of copy-on-write
-  /// snapshots (Histogram::Snapshot) — the pre-§17 behavior, kept as an
-  /// escape hatch and for bench head-to-head comparison. The published
-  /// estimates are bitwise-identical either way; only publish cost and
-  /// refiner path-copy overhead differ.
-  bool clone_publish = false;
 
   /// Feedback items already baked into the initial histogram by a previous
   /// incarnation of this service (the applied_feedback watermark of the
@@ -179,7 +172,7 @@ struct ServiceStats {
   /// accepted item.
   size_t staleness = 0;
   /// Wall-clock cost of the most recent / the worst snapshot publish
-  /// (clone + pointer swap), seconds.
+  /// (snapshot + pointer swap), seconds.
   double last_publish_seconds = 0.0;
   double max_publish_seconds = 0.0;
 
@@ -210,10 +203,10 @@ struct ServiceStats {
 /// Concurrent readers estimate against an immutable published snapshot
 /// (`std::shared_ptr<const Histogram>` behind an atomic), while one refiner
 /// thread drains a bounded feedback queue, applies Refine to a private
-/// working copy nothing else can see, and publishes a fresh clone at the
-/// configured cadence. Readers never block on refinement and refinement
-/// never blocks on readers; a reader holding a snapshot keeps it alive after
-/// newer epochs supersede it.
+/// working copy nothing else can see, and publishes a copy-on-write
+/// Snapshot() of it at the configured cadence. Readers never block on
+/// refinement and refinement never blocks on readers; a reader holding a
+/// snapshot keeps it alive after newer epochs supersede it.
 ///
 /// With ReinitConfig::enabled the refiner additionally runs the drift loop
 /// of DESIGN.md §14: a rolling-NAE stagnation detector over the feedback it
@@ -237,9 +230,10 @@ struct ServiceStats {
 class HistogramService {
  public:
   /// Takes ownership of `initial` as the refiner's working copy, publishes
-  /// its clone as snapshot epoch 0, and starts the refiner thread. Aborts if
-  /// `initial` is null, does not support Clone(), or the re-init config is
-  /// invalid (enabled with an empty domain or bad detector/reservoir knobs).
+  /// its Snapshot() as snapshot epoch 0, and starts the refiner thread.
+  /// Aborts if `initial` is null, does not support Clone(), or the re-init
+  /// config is invalid (enabled with an empty domain or bad
+  /// detector/reservoir knobs).
   HistogramService(std::unique_ptr<Histogram> initial,
                    const CardinalityOracle& oracle,
                    const ServiceConfig& config = {});

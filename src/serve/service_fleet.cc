@@ -100,10 +100,7 @@ Status ServiceFleet::AddTenant(std::string_view key,
   if (initial == nullptr) {
     return Status::InvalidArgument("tenant histogram must be non-null");
   }
-  std::shared_ptr<const Histogram> first =
-      config_.clone_publish
-          ? std::shared_ptr<const Histogram>(initial->Clone())
-          : initial->Snapshot();
+  std::shared_ptr<const Histogram> first = initial->Snapshot();
   if (first == nullptr) {
     return StatusF(StatusCode::kInvalidArgument,
                    "tenant '%.*s' needs a histogram supporting Clone()",
@@ -335,11 +332,8 @@ void ServiceFleet::RunShard(const std::shared_ptr<Shard>& shard) {
 
 void ServiceFleet::PublishShard(Shard* shard) {
   const auto start = std::chrono::steady_clock::now();
-  // COW snapshot by default (O(touched path), DESIGN.md §17); the deep
-  // clone stays selectable for benches and as an escape hatch.
-  std::shared_ptr<const Histogram> snap = config_.clone_publish
-                                              ? shard->working->Clone()
-                                              : shard->working->Snapshot();
+  // COW snapshot: O(touched path), DESIGN.md §17.
+  std::shared_ptr<const Histogram> snap = shard->working->Snapshot();
   STHIST_CHECK(snap != nullptr);
   // Timed like HistogramService::Publish: the latency of *making* the
   // publishable snapshot. The store below also releases the previous

@@ -43,11 +43,6 @@ struct FleetConfig {
   /// Threads for EstimateBatch on a shard snapshot (1 = inline).
   size_t estimate_threads = 1;
 
-  /// true: publish deep clones instead of copy-on-write snapshots — same
-  /// escape hatch as ServiceConfig::clone_publish; estimates are
-  /// bitwise-identical either way.
-  bool clone_publish = false;
-
   /// Base seed of the fleet's deterministic tenant hashing: TenantId(key) is
   /// a pure function of (seed, key), so shard identities — and everything a
   /// driver derives from them (per-tenant workload seeds in fleet-sim and
@@ -147,8 +142,8 @@ class ServiceFleet {
   ServiceFleet& operator=(const ServiceFleet&) = delete;
 
   /// Registers `key` with `initial` as its working histogram and publishes
-  /// its clone as the shard's first snapshot. Errors: kInvalidArgument for
-  /// an empty key, a null histogram, or one without Clone() support; a
+  /// its Snapshot() as the shard's first snapshot. Errors: kInvalidArgument
+  /// for an empty key, a null histogram, or one without Clone() support; a
   /// second Add of a live key is also kInvalidArgument; kUnavailable after
   /// Stop. The oracle must outlive the tenant.
   Status AddTenant(std::string_view key, std::unique_ptr<Histogram> initial,

@@ -13,14 +13,13 @@
 //      depends on.
 //
 // The bound in (3) is checked against an *independently computed* count: the
-// number of buckets whose box intersects the query, recovered by parsing the
-// canonical text serialization rather than by asking the COW machinery.
+// number of buckets whose box intersects the query, recovered from the
+// Dump() walk of the bucket tree rather than by asking the COW machinery.
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
-#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -67,33 +66,13 @@ struct TrainingRig {
   std::unique_ptr<Executor> executor;
 };
 
-// Parses the bucket boxes out of the canonical text serialization
-// ("depth lo hi ... freq" per line after the header) — an oracle for the
-// touched-path bound that shares no code with the COW implementation.
-std::vector<Box> BucketBoxes(const STHoles& hist, size_t dim) {
+// The bucket boxes in pre-order, read off the STHoles::Dump() walk — an
+// oracle for the touched-path bound that shares no code with the COW
+// implementation.
+std::vector<Box> BucketBoxes(const STHoles& hist) {
   std::vector<Box> boxes;
-  const std::string text = hist.Serialize();
-  size_t pos = text.find('\n');  // Skip the header line.
-  EXPECT_NE(pos, std::string::npos);
-  ++pos;
-  while (pos < text.size()) {
-    size_t nl = text.find('\n', pos);
-    if (nl == std::string::npos) nl = text.size();
-    const std::string line = text.substr(pos, nl - pos);
-    pos = nl + 1;
-    if (line.empty()) continue;
-    const char* cursor = line.c_str();
-    char* end = nullptr;
-    (void)std::strtoul(cursor, &end, 10);  // depth
-    cursor = end;
-    std::vector<double> lo(dim), hi(dim);
-    for (size_t d = 0; d < dim; ++d) {
-      lo[d] = std::strtod(cursor, &end);
-      cursor = end;
-      hi[d] = std::strtod(cursor, &end);
-      cursor = end;
-    }
-    boxes.emplace_back(std::move(lo), std::move(hi));
+  for (const STHoles::BucketInfo& bucket : hist.Dump()) {
+    boxes.push_back(bucket.box);
   }
   return boxes;
 }
@@ -209,11 +188,10 @@ TEST(CowTreeTest, DroppedSnapshotsReturnExclusiveOwnership) {
 
 // (3): with a huge budget (no merges), each refine after a snapshot copies
 // at most the buckets the query intersects, and everything else stays
-// shared. The bound is computed from the serialized geometry, not the COW
+// shared. The bound is computed from the Dump() geometry, not the COW
 // counters.
 TEST(CowTreeTest, PathCopiesAreBoundedByTouchedBuckets) {
   TrainingRig rig;
-  const size_t dim = rig.g.domain.dim();
   STHoles hist(rig.g.domain, static_cast<double>(rig.g.data.size()),
                Budget(100000));  // Effectively unbounded: drills only.
   Workload train = rig.Queries(150, 11);
@@ -226,8 +204,8 @@ TEST(CowTreeTest, PathCopiesAreBoundedByTouchedBuckets) {
   for (; i < train.size(); ++i) {
     const Box& q = train[i];
     keep_alive.push_back(hist.Snapshot());  // Everything shared again.
-    const std::vector<Box> boxes = BucketBoxes(hist, dim);
-    // Serialize emits every node including the root; bucket_count() is the
+    const std::vector<Box> boxes = BucketBoxes(hist);
+    // Dump lists every node including the root; bucket_count() is the
     // hole count (root excluded). The root's box is the domain, so it is
     // counted in `touched` for every query — exactly right, since the root
     // is path-copied on every descent.

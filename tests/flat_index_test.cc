@@ -69,7 +69,8 @@ struct ScalarGuard {
   ~ScalarGuard() { simd::ForceScalarForTest(false); }
 };
 
-// Reference predicate for BoxOverlap::kClosed (same as rtree_test).
+// Reference predicate for BoxOverlap::kClosed: the closed intervals overlap
+// in every dimension.
 bool ClosedOverlap(const Box& a, const Box& b) {
   for (size_t d = 0; d < a.dim(); ++d) {
     if (a.lo(d) > b.hi(d) || b.lo(d) > a.hi(d)) return false;
@@ -253,6 +254,41 @@ TEST(FlatBoxIndexTest, ClearResetsToEmpty) {
   index.Insert(Box::Cube(3, 0.0, 1.0), 9);
   index.Probe(Box::Cube(3, 0.0, 200.0), BoxOverlap::kClosed, &out);
   EXPECT_EQ(out, std::vector<uint64_t>{9});
+}
+
+// 16-d entries with zero extent outside dimension 0: every box and node
+// volume is exactly 0.0, so a partition guided by volume could not tell the
+// entries apart. The center-spread median split still separates them, so a
+// point probe resolves in a few root-to-leaf paths instead of scanning the
+// whole tree, whether the entries arrive in bulk or through Insert.
+TEST(FlatBoxIndexTest, HighDimZeroVolumeEntriesStayDiscriminating) {
+  constexpr size_t kDim = 16;
+  constexpr size_t kCount = 512;
+  std::vector<FlatBoxIndex::Entry> entries;
+  for (uint64_t i = 0; i < kCount; ++i) {
+    Box box = Box::Cube(kDim, 0.5, 0.5);
+    box.set_lo(0, static_cast<double>(i) * 100.0);
+    box.set_hi(0, static_cast<double>(i) * 100.0);
+    entries.push_back({box, i});
+  }
+  Rng rng(61);
+  rng.Shuffle(&entries);
+  FlatBoxIndex bulk;
+  bulk.Bulk(entries);
+  FlatBoxIndex inserted;
+  for (const FlatBoxIndex::Entry& e : entries) inserted.Insert(e.box, e.id);
+
+  for (const FlatBoxIndex* index : {&bulk, &inserted}) {
+    uint32_t max_visits = 0;
+    for (const FlatBoxIndex::Entry& e : entries) {
+      std::vector<uint64_t> out;
+      const FlatBoxIndex::ProbeStats stats =
+          index->Probe(e.box, BoxOverlap::kClosed, &out);
+      max_visits = std::max(max_visits, stats.node_visits);
+      EXPECT_EQ(out, std::vector<uint64_t>{e.id}) << "entry " << e.id;
+    }
+    EXPECT_LE(max_visits, 40u);
+  }
 }
 
 TEST(FlatBoxIndexTest, DuplicateBoxesAllReported) {

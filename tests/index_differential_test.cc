@@ -180,8 +180,10 @@ TEST(STHolesDifferentialTest, SerializationRoundTripPreservesIdentity) {
   wc.seed = 9;
   for (const Box& q : MakeWorkload(g.domain, wc)) h.Refine(q, executor);
 
-  auto loaded = STHoles::Deserialize(h.Serialize(), config);
-  ASSERT_NE(loaded, nullptr);
+  StatusOr<std::unique_ptr<STHoles>> restored =
+      STHoles::DeserializeBinary(h.SerializeBinary(), config);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  std::unique_ptr<STHoles> loaded = *std::move(restored);
   loaded->CheckInvariants();
 
   Workload probes = MakeProbes(g.domain, 13);

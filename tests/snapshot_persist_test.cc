@@ -79,20 +79,26 @@ void ExpectBitIdentical(const Histogram& a, const Histogram& b,
   }
 }
 
+// A fresh histogram (the root bucket alone) and a trained one both
+// round-trip bit-exactly.
 TEST(SnapshotPersistTest, BinaryRoundTripIsBitExact) {
   Rig rig;
-  std::unique_ptr<STHoles> hist = rig.Trained(40, 120);
-  const std::string blob = hist->SerializeBinary();
-  ASSERT_FALSE(blob.empty());
+  for (size_t queries : {size_t{0}, size_t{120}}) {
+    SCOPED_TRACE("trained on " + std::to_string(queries) + " queries");
+    std::unique_ptr<STHoles> hist = rig.Trained(40, queries);
+    const std::string blob = hist->SerializeBinary();
+    ASSERT_FALSE(blob.empty());
 
-  StatusOr<std::unique_ptr<STHoles>> restored =
-      STHoles::DeserializeBinary(blob, Budget(40));
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  (*restored)->CheckInvariants();
-  EXPECT_EQ((*restored)->bucket_count(), hist->bucket_count());
-  ExpectBitIdentical(**restored, *hist, rig.Queries(200, 31));
-  // Save → load → save is byte-stable.
-  EXPECT_EQ((*restored)->SerializeBinary(), blob);
+    StatusOr<std::unique_ptr<STHoles>> restored =
+        STHoles::DeserializeBinary(blob, Budget(40));
+    ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+    (*restored)->CheckInvariants();
+    EXPECT_EQ((*restored)->bucket_count(), hist->bucket_count());
+    EXPECT_EQ((*restored)->TotalFrequency(), hist->TotalFrequency());
+    ExpectBitIdentical(**restored, *hist, rig.Queries(200, 31));
+    // Save → load → save is byte-stable.
+    EXPECT_EQ((*restored)->SerializeBinary(), blob);
+  }
 }
 
 TEST(SnapshotPersistTest, AtomicWriteRoundTripsThroughDisk) {
@@ -173,29 +179,6 @@ TEST(SnapshotPersistTest, RestoredServiceReplaysToIdenticalSnapshot) {
   EXPECT_EQ(saved_b->applied_feedback, stream.size());
   std::remove(path.c_str());
   std::remove(path_b.c_str());
-}
-
-// Publishing with clones and publishing with COW snapshots are the same
-// observable service: identical estimates for identical feedback.
-TEST(SnapshotPersistTest, ClonePublishAndCowPublishAreBitIdentical) {
-  Rig rig;
-  const Workload stream = rig.Queries(200, 23);
-  const Workload probes = rig.Queries(80, 91);
-
-  ServiceConfig cow;
-  cow.clone_publish = false;
-  ServiceConfig clone;
-  clone.clone_publish = true;
-  HistogramService service_cow(rig.Trained(28, 50), *rig.executor, cow);
-  HistogramService service_clone(rig.Trained(28, 50), *rig.executor, clone);
-  for (const Box& q : stream) {
-    ASSERT_EQ(service_cow.SubmitFeedback(q), FeedbackOutcome::kAccepted);
-    ASSERT_EQ(service_clone.SubmitFeedback(q), FeedbackOutcome::kAccepted);
-  }
-  ASSERT_TRUE(service_cow.Drain().ok());
-  ASSERT_TRUE(service_clone.Drain().ok());
-  ExpectBitIdentical(*service_cow.snapshot(), *service_clone.snapshot(),
-                     probes);
 }
 
 // Kill-at-every-byte: every strict prefix of a valid snapshot file decodes

@@ -525,7 +525,7 @@ Status RunSweepCommand(const Flags& flags) {
 Status RunInspect(const Flags& flags) {
   STHIST_RETURN_IF_ERROR(flags.CheckAllowed(
       {STHIST_COMMON_FLAGS, STHIST_DATASET_FLAGS, STHIST_CLUSTER_FLAGS,
-       "buckets", "train", "volume", "init", "out"}));
+       "buckets", "train", "volume", "init"}));
   StatusOr<GeneratedData> g = ResolveDataset(flags);
   if (!g.ok()) return g.status();
   Experiment experiment(*std::move(g));
@@ -550,17 +550,6 @@ Status RunInspect(const Flags& flags) {
   CensusResult census = CensusSubspaceBuckets(hist);
   std::printf("%zu buckets, %zu subspace\n", hist.bucket_count(),
               census.subspace_buckets);
-  if (flags.Has("out")) {
-    std::string path = flags.Str("out", "");
-    FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-      return Status::IoError("cannot write " + path);
-    }
-    std::string text = hist.Serialize();
-    std::fwrite(text.data(), 1, text.size(), f);
-    std::fclose(f);
-    std::printf("serialized histogram to %s\n", path.c_str());
-  }
   return Status::Ok();
 }
 
@@ -1015,7 +1004,6 @@ Status RunServeSimReplay(const Flags& flags) {
     return Status::InvalidArgument(
         "--queue-cap and --publish-batch must be > 0");
   }
-  sc.clone_publish = flags.Has("clone-publish");
   sc.restored_feedback = skip;
   sc.metrics = obs::GlobalMetrics();
   HistogramService service(std::move(hist), experiment.executor(), sc);
@@ -1093,7 +1081,7 @@ Status RunServeSim(const Flags& flags) {
        STHIST_FAULT_FLAGS, STHIST_DRIFT_FLAGS, STHIST_REINIT_FLAGS,
        "buckets", "train", "queries", "readers", "volume", "init",
        "queue-cap", "publish-batch", "batch", "snapshot", "snapshot-every",
-       "restore", "clone-publish"}));
+       "restore"}));
   if (flags.Has("drift")) return RunServeSimDrift(flags);
   if (flags.Has("pace") || flags.Has("snapshot") ||
       flags.Has("snapshot-every") || flags.Has("restore")) {
@@ -1230,7 +1218,7 @@ Status RunFleetSim(const Flags& flags) {
   STHIST_RETURN_IF_ERROR(flags.CheckAllowed(
       {STHIST_COMMON_FLAGS, "tenants", "refiners", "queries", "buckets",
        "readers", "pace", "seed", "queue-cap", "publish-batch", "snapshot",
-       "restore", "clone-publish"}));
+       "restore"}));
 
   size_t tenants = flags.Size("tenants", 16);
   const size_t per_tenant = flags.Size("queries", 64);
@@ -1271,7 +1259,6 @@ Status RunFleetSim(const Flags& flags) {
   fc.queue_capacity = flags.Size("queue-cap", fc.queue_capacity);
   fc.publish_batch = flags.Size("publish-batch", fc.publish_batch);
   fc.seed = seed;
-  fc.clone_publish = flags.Has("clone-publish");
   fc.metrics = obs::GlobalMetrics();
   if (fc.refiners == 0 || fc.queue_capacity == 0 || fc.publish_batch == 0) {
     return Status::InvalidArgument(
@@ -1480,7 +1467,7 @@ void PrintUsage() {
       "              --threads N (0 = all cores) [--estimator NAME]\n"
       "              + experiment flags\n"
       "  inspect     print the bucket tree after training\n"
-      "              --buckets N --train N [--init] [--out hist.txt]\n"
+      "              --buckets N --train N [--init]\n"
       "  snapshot    versioned binary snapshot files (DESIGN.md §17)\n"
       "              save:   train a histogram and persist it\n"
       "                      --out file.snap [--estimator NAME]\n"
@@ -1513,9 +1500,7 @@ void PrintUsage() {
       "              --snapshot f.snap [--snapshot-every N] saves\n"
       "              Drain-barriered snapshots, --restore f.snap warm-starts\n"
       "              from one and replays to the uninterrupted run's digest\n"
-      "              (same dataset/workload flags required);\n"
-      "              --clone-publish uses deep-clone publishes instead of\n"
-      "              copy-on-write snapshots (identical estimates)\n"
+      "              (same dataset/workload flags required)\n"
       "  fleet-sim   sharded multi-tenant serving: N tenant histograms share\n"
       "              K pooled refiner threads; ends with a determinism\n"
       "              digest over the final snapshots and a metrics dump\n"
@@ -1528,7 +1513,7 @@ void PrintUsage() {
       "              snapshot; --restore f.snap hands the fleet off from one\n"
       "              (tenants/seed come from the file, the driver is skipped,\n"
       "              and with the saving run's --queries the digest matches\n"
-      "              it); --clone-publish uses deep-clone publishes\n"
+      "              it)\n"
       "\n"
       "every command accepts --metrics-json <path>: export the run's\n"
       "metrics registry (counters, gauges, latency histograms) as JSON\n"
