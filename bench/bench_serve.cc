@@ -1,5 +1,6 @@
-// Serving-layer throughput harness: read throughput vs reader-thread count,
-// with the refiner idle and with it live under a saturating feedback stream.
+// Serving-layer throughput harness: read throughput vs reader-thread count
+// on one serving cell (a one-tenant ServiceFleet with one refiner), with the
+// refiner idle and with it live under a saturating feedback stream.
 // The number that matters is the ratio per row: snapshot isolation means a
 // publishing refiner costs readers almost nothing (readers never take the
 // writer's locks — they only swap shared_ptr refcounts), so throughput keeps
@@ -15,6 +16,7 @@
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -24,7 +26,7 @@
 #include "data/generators.h"
 #include "eval/table.h"
 #include "histogram/stholes.h"
-#include "serve/histogram_service.h"
+#include "serve/service_fleet.h"
 #include "workload/query.h"
 #include "workload/workload.h"
 
@@ -67,36 +69,40 @@ std::unique_ptr<STHoles> MakeTrainedHistogram(const ServeBenchSetup& setup,
   return hist;
 }
 
-struct Throughput {
-  double reads_per_second = 0.0;
-  size_t publishes = 0;
-  size_t feedback_applied = 0;
-  double max_publish_ms = 0.0;
-};
+constexpr char kTenant[] = "serve";
 
-// Runs `readers` threads, each issuing `reads_per_thread` estimates against
-// the service; when `refine` is set, a feeder thread keeps the feedback
-// queue saturated for the whole measurement window.
-Throughput MeasureReads(const ServeBenchSetup& setup, size_t buckets,
-                        size_t readers, size_t reads_per_thread, bool refine) {
-  HistogramService service(MakeTrainedHistogram(setup, buckets),
-                           *setup.executor);
-  ServiceStats before = service.stats();
-
-  std::atomic<bool> start{false};
-  std::atomic<bool> stop_feeder{false};
-  std::thread feeder;
-  if (refine) {
-    feeder = std::thread([&] {
-      while (!start.load()) std::this_thread::yield();
-      size_t i = 0;
-      while (!stop_feeder.load()) {
-        (void)service.SubmitFeedback(setup.feedback[i % setup.feedback.size()]);
-        ++i;
-      }
-    });
+// The serving cell: `hist` as the only tenant of a one-refiner fleet with a
+// 4096-item queue, recording into `registry`.
+std::unique_ptr<ServiceFleet> OneTenant(std::unique_ptr<Histogram> hist,
+                                        const CardinalityOracle& oracle,
+                                        obs::MetricsRegistry* registry,
+                                        const TenantOptions& options = {}) {
+  FleetConfig config;
+  config.refiners = 1;
+  config.queue_capacity = 4096;
+  config.metrics = registry;
+  auto fleet = std::make_unique<ServiceFleet>(config);
+  if (!fleet->AddTenant(kTenant, std::move(hist), oracle, options).ok()) {
+    std::fprintf(stderr, "FAIL: could not add the serving tenant\n");
+    std::exit(EXIT_FAILURE);
   }
+  return fleet;
+}
 
+// The fleet's publish-latency histogram in `registry`.
+obs::MetricsSnapshot::LatencyValue PublishLatency(
+    const obs::MetricsRegistry& registry) {
+  for (const auto& latency : registry.Snapshot().latencies) {
+    if (latency.name == "serve.fleet.publish_seconds") return latency;
+  }
+  return {};
+}
+
+// Closed-loop readers on the serving tenant: `readers` threads each issue
+// `reads_per_thread` estimates once `start` flips. Returns the wall time.
+double TimeReads(const ServiceFleet& fleet, const Workload& probes,
+                 size_t readers, size_t reads_per_thread,
+                 std::atomic<bool>& start) {
   std::vector<std::thread> threads;
   threads.reserve(readers);
   std::atomic<double> sink{0.0};  // Defeats dead-code elimination.
@@ -105,31 +111,72 @@ Throughput MeasureReads(const ServeBenchSetup& setup, size_t buckets,
       while (!start.load()) std::this_thread::yield();
       double local = 0.0;
       for (size_t i = 0; i < reads_per_thread; ++i) {
-        local += service.Estimate(setup.probes[(r + i) % setup.probes.size()]);
+        local += *fleet.Estimate(kTenant, probes[(r + i) % probes.size()]);
       }
       sink.fetch_add(local);
     });
   }
-
   auto t0 = std::chrono::steady_clock::now();
   start.store(true);
   for (std::thread& t : threads) t.join();
-  double seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+// A feeder thread that keeps the serving tenant's queue saturated from when
+// `start` flips until `stop` does, submitting `served_estimate` with each
+// item.
+std::thread StartFeeder(ServiceFleet& fleet, const Workload& feedback,
+                        std::atomic<bool>& start, std::atomic<bool>& stop,
+                        double served_estimate =
+                            std::numeric_limits<double>::quiet_NaN()) {
+  return std::thread([&, served_estimate] {
+    while (!start.load()) std::this_thread::yield();
+    size_t i = 0;
+    while (!stop.load()) {
+      (void)fleet.SubmitFeedback(kTenant, feedback[i % feedback.size()],
+                                 served_estimate);
+      ++i;
+    }
+  });
+}
+
+struct Throughput {
+  double reads_per_second = 0.0;
+  size_t publishes = 0;
+  size_t feedback_applied = 0;
+  double max_publish_ms = 0.0;
+};
+
+// Runs `readers` threads, each issuing `reads_per_thread` estimates against
+// the serving tenant; when `refine` is set, a feeder thread keeps the
+// feedback queue saturated for the whole measurement window. Each run
+// records into its own registry, so its counters cover exactly this run.
+Throughput MeasureReads(const ServeBenchSetup& setup, size_t buckets,
+                        size_t readers, size_t reads_per_thread, bool refine) {
+  obs::MetricsRegistry registry;
+  std::unique_ptr<ServiceFleet> fleet = OneTenant(
+      MakeTrainedHistogram(setup, buckets), *setup.executor, &registry);
+
+  std::atomic<bool> start{false};
+  std::atomic<bool> stop_feeder{false};
+  std::thread feeder;
+  if (refine) {
+    feeder = StartFeeder(*fleet, setup.feedback, start, stop_feeder);
+  }
+  const double seconds =
+      TimeReads(*fleet, setup.probes, readers, reads_per_thread, start);
   stop_feeder.store(true);
   if (feeder.joinable()) feeder.join();
-  service.Stop();
+  fleet->Stop();
 
-  ServiceStats after = service.stats();
+  const FleetStats stats = fleet->stats();
   Throughput result;
   result.reads_per_second =
       static_cast<double>(readers * reads_per_thread) / seconds;
-  // Deltas, not absolutes: every measured service shares the process-wide
-  // registry, so its cells carry over from the previous rows.
-  result.publishes = after.snapshot_epoch - before.snapshot_epoch;
-  result.feedback_applied = after.feedback_applied - before.feedback_applied;
-  result.max_publish_ms = after.max_publish_seconds * 1e3;
+  result.publishes = stats.publishes;
+  result.feedback_applied = stats.feedback_applied;
+  result.max_publish_ms = PublishLatency(registry).max_seconds * 1e3;
   return result;
 }
 
@@ -146,57 +193,27 @@ struct PublishProfile {
 PublishProfile MeasurePublish(const ServeBenchSetup& setup, size_t buckets,
                               size_t readers, size_t reads_per_thread) {
   obs::MetricsRegistry registry;
-  ServiceConfig config;
-  config.metrics = &registry;
-  HistogramService service(MakeTrainedHistogram(setup, buckets),
-                           *setup.executor, config);
+  std::unique_ptr<ServiceFleet> fleet = OneTenant(
+      MakeTrainedHistogram(setup, buckets), *setup.executor, &registry);
 
   std::atomic<bool> start{false};
   std::atomic<bool> stop_feeder{false};
-  std::thread feeder([&] {
-    while (!start.load()) std::this_thread::yield();
-    size_t i = 0;
-    while (!stop_feeder.load()) {
-      (void)service.SubmitFeedback(setup.feedback[i % setup.feedback.size()]);
-      ++i;
-    }
-  });
-
-  std::vector<std::thread> threads;
-  threads.reserve(readers);
-  std::atomic<double> sink{0.0};
-  for (size_t r = 0; r < readers; ++r) {
-    threads.emplace_back([&, r] {
-      while (!start.load()) std::this_thread::yield();
-      double local = 0.0;
-      for (size_t i = 0; i < reads_per_thread; ++i) {
-        local += service.Estimate(setup.probes[(r + i) % setup.probes.size()]);
-      }
-      sink.fetch_add(local);
-    });
-  }
-  auto t0 = std::chrono::steady_clock::now();
-  start.store(true);
-  for (std::thread& t : threads) t.join();
-  double seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  std::thread feeder = StartFeeder(*fleet, setup.feedback, start, stop_feeder);
+  const double seconds =
+      TimeReads(*fleet, setup.probes, readers, reads_per_thread, start);
   stop_feeder.store(true);
   feeder.join();
-  service.Stop();
+  fleet->Stop();
 
   PublishProfile profile;
   profile.live_rps = static_cast<double>(readers * reads_per_thread) / seconds;
-  for (const auto& latency : registry.Snapshot().latencies) {
-    if (latency.name == "serve.service.publish_seconds") {
-      profile.publishes = latency.count;
-      profile.publish_p99_ms = ApproxP99Seconds(latency) * 1e3;
-      profile.publish_mean_ms =
-          latency.count > 0
-              ? latency.sum_seconds / static_cast<double>(latency.count) * 1e3
-              : 0.0;
-    }
-  }
+  const obs::MetricsSnapshot::LatencyValue latency = PublishLatency(registry);
+  profile.publishes = latency.count;
+  profile.publish_p99_ms = ApproxP99Seconds(latency) * 1e3;
+  profile.publish_mean_ms =
+      latency.count > 0
+          ? latency.sum_seconds / static_cast<double>(latency.count) * 1e3
+          : 0.0;
   return profile;
 }
 
@@ -217,16 +234,17 @@ double MeasureRebuildWindowRatio(const ServeBenchSetup& setup, size_t buckets,
   std::unique_ptr<STHoles> reference = MakeTrainedHistogram(setup, buckets);
   const STHoles* reference_raw = reference.get();
 
-  ServiceConfig config;
-  config.reinit.enabled = true;
-  config.reinit.domain = setup.g.domain;
-  config.reinit.background = true;
-  config.reinit.detector.window = 16;
-  config.reinit.detector.trigger_nae = 0.05;
-  config.reinit.detector.rearm_nae = 0.01;
-  config.reinit.detector.cooldown = 64;
-  config.reinit.detector.retrigger_backstop = 1u << 20;  // One rebuild/run.
-  config.reinit.rebuild_override = [&](const Dataset&, double) {
+  TenantOptions options;
+  ReinitConfig& reinit = options.reinit;
+  reinit.enabled = true;
+  reinit.domain = setup.g.domain;
+  reinit.background = true;
+  reinit.detector.window = 16;
+  reinit.detector.trigger_nae = 0.05;
+  reinit.detector.rearm_nae = 0.01;
+  reinit.detector.cooldown = 64;
+  reinit.detector.retrigger_backstop = 1u << 20;  // One rebuild per run.
+  reinit.rebuild_override = [&](const Dataset&, double) {
     {
       std::unique_lock<std::mutex> lock(gate_mutex);
       builder_entered = true;
@@ -236,8 +254,11 @@ double MeasureRebuildWindowRatio(const ServeBenchSetup& setup, size_t buckets,
     return reference_raw->Clone();
   };
 
-  HistogramService service(MakeTrainedHistogram(setup, buckets),
-                           *setup.executor, config);
+  // This run records into the process-wide registry, so the artifact's
+  // metrics section carries the serve.fleet.* and serve.reinit.* cells.
+  std::unique_ptr<ServiceFleet> fleet =
+      OneTenant(MakeTrainedHistogram(setup, buckets), *setup.executor,
+                obs::GlobalMetrics(), options);
 
   // Garbage served estimates force the trigger as soon as the window fills.
   {
@@ -245,8 +266,8 @@ double MeasureRebuildWindowRatio(const ServeBenchSetup& setup, size_t buckets,
     size_t i = 0;
     while (!builder_entered && i < 100000) {
       lock.unlock();
-      (void)service.SubmitFeedback(setup.feedback[i % setup.feedback.size()],
-                                   1e9);
+      (void)fleet->SubmitFeedback(
+          kTenant, setup.feedback[i % setup.feedback.size()], 1e9);
       ++i;
       lock.lock();
     }
@@ -261,34 +282,10 @@ double MeasureRebuildWindowRatio(const ServeBenchSetup& setup, size_t buckets,
   // load as the steady-state row.
   std::atomic<bool> start{false};
   std::atomic<bool> stop_feeder{false};
-  std::thread feeder([&] {
-    while (!start.load()) std::this_thread::yield();
-    size_t i = 0;
-    while (!stop_feeder.load()) {
-      (void)service.SubmitFeedback(setup.feedback[i % setup.feedback.size()],
-                                   1e9);
-      ++i;
-    }
-  });
-  std::vector<std::thread> threads;
-  threads.reserve(readers);
-  std::atomic<double> sink{0.0};
-  for (size_t r = 0; r < readers; ++r) {
-    threads.emplace_back([&, r] {
-      while (!start.load()) std::this_thread::yield();
-      double local = 0.0;
-      for (size_t i = 0; i < reads_per_thread; ++i) {
-        local += service.Estimate(setup.probes[(r + i) % setup.probes.size()]);
-      }
-      sink.fetch_add(local);
-    });
-  }
-  auto t0 = std::chrono::steady_clock::now();
-  start.store(true);
-  for (std::thread& t : threads) t.join();
-  double seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  std::thread feeder =
+      StartFeeder(*fleet, setup.feedback, start, stop_feeder, 1e9);
+  const double seconds =
+      TimeReads(*fleet, setup.probes, readers, reads_per_thread, start);
   stop_feeder.store(true);
   feeder.join();
   {
@@ -296,7 +293,7 @@ double MeasureRebuildWindowRatio(const ServeBenchSetup& setup, size_t buckets,
     release_builder = true;
   }
   gate_cv.notify_all();
-  service.Stop();
+  fleet->Stop();
 
   double rebuild_rps =
       static_cast<double>(readers * reads_per_thread) / seconds;
@@ -304,7 +301,8 @@ double MeasureRebuildWindowRatio(const ServeBenchSetup& setup, size_t buckets,
       "rebuild window: %.0f reads/s vs steady %.0f reads/s "
       "(%zu readers, swap %s)\n",
       rebuild_rps, steady.reads_per_second, readers,
-      service.stats().reinit_swaps_completed > 0 ? "completed" : "pending");
+      fleet->tenant_stats(kTenant)->reinit_swaps_completed > 0 ? "completed"
+                                                               : "pending");
   return rebuild_rps / steady.reads_per_second;
 }
 

@@ -1,8 +1,7 @@
 #ifndef STHIST_CORE_BOUNDED_QUEUE_H_
 #define STHIST_CORE_BOUNDED_QUEUE_H_
 
-#include <chrono>
-#include <condition_variable>
+#include <algorithm>
 #include <cstddef>
 #include <deque>
 #include <mutex>
@@ -23,17 +22,18 @@ enum class PushResult {
 };
 
 /// Bounded multi-producer queue with batched consumption, the feedback
-/// channel of the serving layer (DESIGN.md §11).
+/// channel of a serving cell (DESIGN.md §16).
 ///
-/// Producers never block: when the queue is at capacity `TryPush` refuses the
-/// item and the caller decides what to do with the rejection (the service
+/// Neither side ever blocks. When the queue is at capacity `TryPush` refuses
+/// the item and the caller decides what to do with the rejection (the fleet
 /// counts it as a drop — admission control by shedding the newest feedback,
-/// never by stalling a query thread). The consumer blocks in `PopBatch` until
-/// items arrive or the queue is closed, and drains up to a whole batch per
-/// wakeup so a backlogged refiner amortizes its lock traffic.
+/// never by stalling a query thread). The consumer — a pool worker that must
+/// not park on one shard while others wait — takes up to a whole batch of
+/// what is queued per `TryPopBatch`, so a backlogged shard amortizes its
+/// lock traffic; whoever pushes is responsible for scheduling a consumer.
 ///
 /// Safe for any number of producers and consumers; the serving layer uses it
-/// MPSC (many feedback submitters, one refiner).
+/// MPSC (many feedback submitters, one claim-holding refiner at a time).
 template <typename T>
 class BoundedQueue {
  public:
@@ -44,29 +44,23 @@ class BoundedQueue {
   BoundedQueue(const BoundedQueue&) = delete;
   BoundedQueue& operator=(const BoundedQueue&) = delete;
 
-  /// Enqueues `item` unless the queue is full or closed; never blocks.
+  /// Enqueues `item` unless the queue is full or closed.
   /// Returns kAccepted, or the rejection cause.
   PushResult TryPush(T item) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (closed_) return PushResult::kClosed;
-      if (items_.size() >= capacity_) return PushResult::kFull;
-      items_.push_back(std::move(item));
-    }
-    ready_cv_.notify_one();
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (closed_) return PushResult::kClosed;
+    if (items_.size() >= capacity_) return PushResult::kFull;
+    items_.push_back(std::move(item));
     return PushResult::kAccepted;
   }
 
-  /// Moves up to `max_items` into `*out` (appended; existing contents are
-  /// cleared first), blocking until at least one item is available or the
-  /// queue is closed. Returns the number popped — 0 only when the queue is
-  /// closed and fully drained, the consumer's termination signal.
-  size_t PopBatch(std::vector<T>* out, size_t max_items) {
+  /// Moves up to `max_items` already-queued items into `*out` (cleared
+  /// first), oldest first, and returns how many — 0 when the queue is empty.
+  size_t TryPopBatch(std::vector<T>* out, size_t max_items) {
     STHIST_CHECK(max_items > 0);
     out->clear();
-    std::unique_lock<std::mutex> lock(mutex_);
-    ready_cv_.wait(lock, [this] { return closed_ || !items_.empty(); });
-    size_t n = std::min(max_items, items_.size());
+    std::lock_guard<std::mutex> lock(mutex_);
+    const size_t n = std::min(max_items, items_.size());
     for (size_t i = 0; i < n; ++i) {
       out->push_back(std::move(items_.front()));
       items_.pop_front();
@@ -74,35 +68,11 @@ class BoundedQueue {
     return n;
   }
 
-  /// Timed variant of PopBatch for consumers with periodic side work (the
-  /// refiner polling a background rebuild): waits at most `timeout` for an
-  /// item. Returns the number popped — 0 on timeout as well as on
-  /// closed-and-drained, so such consumers distinguish the two via
-  /// closed()/size() before treating 0 as termination.
-  template <typename Rep, typename Period>
-  size_t PopBatchFor(std::vector<T>* out, size_t max_items,
-                     std::chrono::duration<Rep, Period> timeout) {
-    STHIST_CHECK(max_items > 0);
-    out->clear();
-    std::unique_lock<std::mutex> lock(mutex_);
-    ready_cv_.wait_for(lock, timeout,
-                       [this] { return closed_ || !items_.empty(); });
-    size_t n = std::min(max_items, items_.size());
-    for (size_t i = 0; i < n; ++i) {
-      out->push_back(std::move(items_.front()));
-      items_.pop_front();
-    }
-    return n;
-  }
-
-  /// Closes the queue: subsequent pushes are refused, and consumers drain
-  /// what remains before PopBatch returns 0. Idempotent.
+  /// Closes the queue: subsequent pushes are refused, while items already
+  /// queued stay poppable. Idempotent.
   void Close() {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      closed_ = true;
-    }
-    ready_cv_.notify_all();
+    std::lock_guard<std::mutex> lock(mutex_);
+    closed_ = true;
   }
 
   /// Instantaneous item count (advisory under concurrency).
@@ -111,17 +81,11 @@ class BoundedQueue {
     return items_.size();
   }
 
-  bool closed() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return closed_;
-  }
-
   size_t capacity() const { return capacity_; }
 
  private:
   const size_t capacity_;
   mutable std::mutex mutex_;
-  std::condition_variable ready_cv_;  // Signals consumers: item or closed.
   std::deque<T> items_;
   bool closed_ = false;
 };

@@ -32,7 +32,7 @@ enum class StatusCode {
   /// Input was well-formed but violates a documented limit (budget, size).
   kOutOfRange,
   /// The operation cannot proceed because the component is shutting down or
-  /// otherwise not serving (e.g. Drain on a stopped HistogramService).
+  /// otherwise not serving (e.g. AddTenant on a stopped ServiceFleet).
   kUnavailable,
 };
 

@@ -35,7 +35,7 @@ namespace sthist::obs {
 ///     every subsequent update is a relaxed atomic on the metric's own cell.
 ///
 /// Metric names follow `layer.component.name` (e.g.
-/// "histogram.stholes.drills", "serve.service.publish_seconds"); see
+/// "histogram.stholes.drills", "serve.fleet.publish_seconds"); see
 /// DESIGN.md §13 for the naming and cardinality rules.
 
 class MetricsRegistry;
@@ -236,7 +236,7 @@ class MetricsRegistry {
 
   /// Consistent-enough value snapshot: each cell is read atomically, the set
   /// of metrics is read under the registry mutex. Counters racing with the
-  /// snapshot can be one event apart, exactly like ServiceStats.
+  /// snapshot can be one event apart, exactly like FleetStats.
   MetricsSnapshot Snapshot() const;
 
   /// Snapshot().ToJson() / Snapshot().ToText() conveniences.

@@ -1,10 +1,11 @@
 #ifndef STHIST_SERVE_SERVICE_FLEET_H_
 #define STHIST_SERVE_SERVICE_FLEET_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
@@ -12,16 +13,91 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
-#include "core/bounded_queue.h"
+#include "clustering/mineclus.h"
 #include "core/box.h"
 #include "core/status.h"
 #include "core/thread_pool.h"
 #include "histogram/histogram.h"
+#include "init/initializer.h"
 #include "obs/metrics.h"
+#include "serve/stagnation.h"
+#include "testing/fault_injection.h"
 
 namespace sthist {
+
+/// Online re-initialization of one tenant (DESIGN.md §14). When enabled, the
+/// tenant's shard runs a StagnationDetector over its feedback stream and, on
+/// trigger, re-clusters a reservoir sample of recent feedback (MineClus + the
+/// paper's initializer) into a fresh histogram that hot-swaps through the
+/// shard's normal snapshot publish — readers never block on the rebuild.
+struct ReinitConfig {
+  bool enabled = false;
+
+  /// The attribute-value domain D of the rebuilt histograms and the trivial
+  /// control. Required when enabled (the fleet cannot infer it: the initial
+  /// histogram's root box is not exposed by the Histogram API).
+  Box domain;
+
+  StagnationConfig detector;
+  ReservoirConfig reservoir;
+
+  /// Clustering and initialization of the rebuilt histogram (paper §4.1 run
+  /// online over the reservoir instead of offline over the relation).
+  MineClusConfig mineclus;
+  InitializerConfig initializer;
+
+  /// Bucket budget of rebuilt STHoles histograms.
+  size_t max_buckets = 100;
+
+  /// true: rebuild on a builder thread while the pool keeps applying the
+  /// tenant's feedback (production mode — reads and refinement never block
+  /// on the rebuild); the finished builder reschedules its shard, and the
+  /// pool worker that claims it swaps the rebuilt histogram in. false:
+  /// rebuild inline on the pool worker that applied the triggering feedback,
+  /// which makes the whole trigger→swap sequence deterministic for tests.
+  bool background = true;
+
+  /// Feedback applied while a rebuild is in flight is also retained (up to
+  /// this many items) and replayed onto the rebuilt histogram before it
+  /// swaps in, so the swap does not forget the queries of the rebuild
+  /// window. Overflow is shed oldest-kept-first (the reservoir still saw
+  /// every item).
+  size_t replay_capacity = 4096;
+
+  /// The trivial control's total tuple count is re-read from the oracle
+  /// every this many observed feedback items (drift moves the row count;
+  /// a stale control skews the NAE). 0 disables refresh.
+  size_t trivial_refresh = 1024;
+
+  /// Fault injection on the rebuild path: the oracle feeding the
+  /// re-initializer is wrapped in a FaultyOracle with this config when
+  /// rate > 0. Each rebuild gets its own injector instance (FaultyOracle is
+  /// stateful and not thread-safe).
+  FaultConfig rebuild_faults;
+
+  /// TEST/BENCH hook: replaces MineClus + initializer when set. Receives the
+  /// reservoir sample and the domain total; returns the rebuilt histogram
+  /// (nullptr = rebuild failure, exercising the abort path).
+  std::function<std::unique_ptr<Histogram>(const Dataset& sample,
+                                           double total_tuples)>
+      rebuild_override;
+};
+
+/// Per-tenant options of ServiceFleet::AddTenant.
+struct TenantOptions {
+  /// Feedback items already baked into the initial histogram by an earlier
+  /// incarnation of the tenant (its applied-feedback watermark in the STHF
+  /// snapshot it was restored from; 0 for a cold start). SaveSnapshot adds
+  /// the shard's published count to it, so a save→restore→save chain keeps
+  /// the watermark cumulative over the whole feedback history.
+  size_t restored_feedback = 0;
+
+  /// Stagnation detection + online re-initialization (DESIGN.md §14).
+  ReinitConfig reinit;
+};
 
 /// Tuning knobs for ServiceFleet (DESIGN.md §16).
 struct FleetConfig {
@@ -40,7 +116,8 @@ struct FleetConfig {
   /// how long one backlogged shard can monopolize a pool worker.
   size_t publish_batch = 64;
 
-  /// Threads for EstimateBatch on a shard snapshot (1 = inline).
+  /// Threads for EstimateBatch on a shard snapshot (0 = hardware
+  /// concurrency, 1 = inline), forwarded to Histogram::EstimateBatch.
   size_t estimate_threads = 1;
 
   /// Base seed of the fleet's deterministic tenant hashing: TenantId(key) is
@@ -57,24 +134,33 @@ struct FleetConfig {
   size_t top_k_shard_labels = 8;
 
   /// Registry receiving serve.fleet.* (DESIGN.md §13). Null means the
-  /// process-wide obs::GlobalMetrics(); a disabled registry is replaced by a
-  /// private one so stats() never silently loses counts (same rule as
-  /// HistogramService).
+  /// process-wide obs::GlobalMetrics(). The fleet's own counters (stats())
+  /// are these same cells, so a disabled registry is replaced by a private
+  /// one instead of silently losing counts.
   obs::MetricsRegistry* metrics = nullptr;
+
+  /// Fault injection on the refine path: when rate > 0 every shard wraps its
+  /// oracle in its own FaultyOracle with this config, so the oracle answers
+  /// a pool worker consumes for that shard (detector observations and Refine
+  /// feedback counts) may be corrupted — the serving loop's fault coverage.
+  /// Readers never consult the oracle; the trivial control and rebuilds read
+  /// the clean one.
+  FaultConfig faults;
 };
 
-/// What happened to one fleet SubmitFeedback call, mirroring
-/// FeedbackOutcome: accepted, shed on a full shard queue, or shed because
-/// the shard (or the whole fleet) has stopped accepting feedback.
+/// What happened to one SubmitFeedback call. Both rejection outcomes mean
+/// the item was shed (never blocked on); they differ in what the caller can
+/// do about it: a full shard queue is transient backpressure, a stopped
+/// shard (removed tenant or stopped fleet) is final.
 enum class FleetFeedbackOutcome {
   kAccepted,
   kQueueFull,
   kStopped,
 };
 
-/// Fleet counters: the aggregate view over every shard. Same consistency
-/// contract as ServiceStats — individually sampled relaxed atomics, exact
-/// once the fleet is quiescent (after Drain or Stop).
+/// Fleet counters: the aggregate view over every shard. Counters are sampled
+/// individually from relaxed atomics — totals can be one event apart under
+/// concurrency, exact once the fleet is quiescent (after Drain or Stop).
 struct FleetStats {
   /// Tenants currently resident in the shard map.
   size_t tenants = 0;
@@ -101,33 +187,64 @@ struct FleetStats {
   }
 };
 
+/// One tenant's counters: its slice of the feedback flow plus its drift loop.
+/// Same consistency contract as FleetStats.
+struct TenantStats {
+  size_t feedback_accepted = 0;
+  size_t feedback_applied = 0;
+  /// Accepted feedback not yet visible to readers (queued, or applied to
+  /// the working copy but not yet published). 0 means readers see every
+  /// accepted item.
+  size_t staleness = 0;
+
+  /// The drift loop (all zero for a tenant without re-init): detector
+  /// triggers, rebuilds swapped in / abandoned (validation failure or a null
+  /// rebuild, the incumbent keeps serving), rebuild-window feedback replayed
+  /// onto rebuilt histograms, and points held by the feedback reservoir.
+  size_t reinit_triggers = 0;
+  size_t reinit_swaps_completed = 0;
+  size_t reinit_swaps_aborted = 0;
+  size_t reinit_replayed = 0;
+  size_t reservoir_size = 0;
+  /// Most recent rolling NAE the detector computed; NaN before its first
+  /// observation, 0 without re-init.
+  double rolling_nae = 0.0;
+};
+
 /// Sharded multi-tenant histogram serving (DESIGN.md §16): one process,
-/// thousands of independently self-tuning histograms.
+/// one to thousands of independently self-tuning histograms.
 ///
-/// Each tenant key owns one shard carrying the full single-service
-/// discipline of §11 — lock-free snapshot reads through an
-/// `atomic<shared_ptr<const Histogram>>`, a bounded MPSC feedback queue that
-/// sheds instead of blocking — but refinement is pooled: K refiner threads
-/// (core/thread_pool) drain all shard queues via a work-claiming scheme
-/// instead of one thread per histogram.
+/// Each tenant key owns one shard, the serving cell: lock-free snapshot
+/// reads through an `atomic<shared_ptr<const Histogram>>`, a bounded MPSC
+/// feedback queue that sheds instead of blocking, a private working copy,
+/// and — for tenants added with TenantOptions::reinit — the drift loop of
+/// DESIGN.md §14 (a rolling-NAE stagnation detector over the served
+/// estimates, a reservoir sample of the feedback, and MineClus + initializer
+/// rebuilds that hot-swap through the same publish). Refinement is pooled:
+/// K refiner threads (core/thread_pool) drain all shard queues via a
+/// work-claiming scheme instead of one thread per histogram.
 ///
 /// The claiming rule: every shard carries an atomic `in_flight` state
 /// (idle → queued → running → running-dirty). A shard is enqueued to the
 /// pool only by the one thread that wins the idle→queued transition, and
 /// only the pool worker that owns the queued→running transition may touch
-/// the shard's working histogram — so a shard is never refined by two
-/// workers, and each shard's feedback is applied in exact FIFO order.
-/// Consequence: after Drain, every shard's snapshot is bitwise-identical to
-/// a single-threaded replay of its accepted feedback — independent of the
-/// refiner count, of other tenants' traffic, and of scheduling
-/// (tests/fleet_test.cc holds this to std::bit_cast equality against both
-/// refiners=1 and a standalone HistogramService).
+/// the shard's working histogram and drift loop — so a shard is never
+/// refined by two workers, and each shard's feedback is applied in exact
+/// FIFO order. Consequence: after Drain, every shard's snapshot is
+/// bitwise-identical to a single-threaded replay of its accepted feedback —
+/// independent of the refiner count, of other tenants' traffic, and of
+/// scheduling (tests/fleet_test.cc holds this to std::bit_cast equality).
+/// With re-init the same holds in synchronous rebuild mode
+/// (ReinitConfig::background = false); background rebuilds keep every
+/// guarantee except *when* the swap lands relative to concurrent feedback.
 ///
 /// Map lookups take a shared (reader) lock that is never held across
 /// estimation or refinement; AddTenant/RemoveTenant take it exclusively.
 /// Tenants are removable during live traffic: readers holding a snapshot
 /// keep it; queued feedback of a removed tenant is still drained (applied,
-/// never published) so fleet counters stay consistent.
+/// never published) so fleet counters stay consistent. No rebuild thread
+/// outlives the fleet: Stop (and so the destructor) waits for every
+/// in-flight rebuild, removed tenants' included, and swaps it in.
 ///
 /// Every histogram must support Clone(); every oracle must be
 /// const-thread-safe and outlive its tenant.
@@ -135,7 +252,8 @@ class ServiceFleet {
  public:
   explicit ServiceFleet(const FleetConfig& config = {});
 
-  /// Stops the fleet (drains every shard and joins the refiner pool).
+  /// Stops the fleet (drains every shard, finishes in-flight rebuilds, and
+  /// joins the refiner pool).
   ~ServiceFleet();
 
   ServiceFleet(const ServiceFleet&) = delete;
@@ -143,11 +261,13 @@ class ServiceFleet {
 
   /// Registers `key` with `initial` as its working histogram and publishes
   /// its Snapshot() as the shard's first snapshot. Errors: kInvalidArgument
-  /// for an empty key, a null histogram, or one without Clone() support; a
-  /// second Add of a live key is also kInvalidArgument; kUnavailable after
-  /// Stop. The oracle must outlive the tenant.
+  /// for an empty key, a null histogram, one without Clone() support, or an
+  /// enabled ReinitConfig with an empty domain or invalid detector/reservoir
+  /// knobs; a second Add of a live key is also kInvalidArgument; kUnavailable
+  /// after Stop. The oracle must outlive the tenant.
   Status AddTenant(std::string_view key, std::unique_ptr<Histogram> initial,
-                   const CardinalityOracle& oracle);
+                   const CardinalityOracle& oracle,
+                   const TenantOptions& options = {});
 
   /// Unregisters `key`: subsequent lookups report kNotFound, queued feedback
   /// is drained off-snapshot, snapshots already held by readers stay valid.
@@ -181,15 +301,22 @@ class ServiceFleet {
   /// Submits one executed query's box as refinement feedback for `key`;
   /// never blocks. kNotFound for an unknown tenant, otherwise the shard
   /// queue's verdict. A full queue sheds only this tenant's feedback.
-  StatusOr<FleetFeedbackOutcome> SubmitFeedback(std::string_view key,
-                                                const Box& query);
+  ///
+  /// `served_estimate` is the estimate the caller served for this query —
+  /// what a re-init tenant's stagnation detector grades. Callers that did
+  /// not capture one pass NaN (the default): a re-init tenant then samples
+  /// its current snapshot here, so the detector never silently loses its
+  /// signal. Tenants without re-init ignore it.
+  StatusOr<FleetFeedbackOutcome> SubmitFeedback(
+      std::string_view key, const Box& query,
+      double served_estimate = std::numeric_limits<double>::quiet_NaN());
 
   /// Blocks until every feedback item accepted (fleet-wide) before this call
-  /// has been applied and its shard's snapshot republished. Same horizon
-  /// semantics as HistogramService::Drain; concurrent submitters keep the
-  /// horizon moving. Returns OK once reached, kUnavailable only if the pool
-  /// can no longer reach it (cannot happen through the public API — Stop
-  /// flushes every queue first).
+  /// has been applied and its shard's snapshot republished, i.e. staleness
+  /// from the caller's viewpoint is 0. Concurrent submitters can keep the
+  /// horizon moving; with quiescent producers this is a precise barrier.
+  /// Always returns OK: every accepted item is eventually applied, Stop
+  /// included. An in-flight background rebuild does not hold it hostage.
   Status Drain();
 
   /// Per-tenant drain: blocks until `key`'s feedback accepted before this
@@ -198,73 +325,40 @@ class ServiceFleet {
   /// unknown tenant.
   Status DrainTenant(std::string_view key);
 
-  /// Closes every shard queue, flushes what they hold through the pool, and
-  /// quiesces the refiners. Estimation keeps working against the final
-  /// snapshots; subsequent feedback is shed, AddTenant refuses. Idempotent.
+  /// Closes every shard queue, flushes what they hold through the pool,
+  /// completes (or aborts) every in-flight rebuild, and quiesces the
+  /// refiners. Estimation keeps working against the final snapshots;
+  /// subsequent feedback is shed, AddTenant refuses. Idempotent.
   void Stop();
 
-  /// Persists every tenant's current snapshot (plus the fleet seed) to
-  /// `path` as a versioned binary "STHF" container, written atomically —
-  /// the replica hand-off / warm-restart primitive (DESIGN.md §17). Tenants
-  /// are saved in sorted key order, each as its histogram's
-  /// SerializeBinary() blob. Each tenant's snapshot is internally consistent
-  /// (an atomic epoch), but the cut across tenants is only as consistent as
-  /// the caller makes it: call Drain() first for a fleet-wide consistent
-  /// cut. Fails with a Status if any tenant's histogram does not support
-  /// binary snapshots or the file cannot be written.
+  /// Persists every tenant's current snapshot, its applied-feedback
+  /// watermark, and the fleet seed to `path` as a versioned binary "STHF"
+  /// container, written atomically — the warm-restart and replica hand-off
+  /// primitive (DESIGN.md §17). Tenants are saved in sorted key order, each
+  /// as its histogram's SerializeBinary() blob. A tenant's snapshot and
+  /// watermark are read as one pair under its publish lock, so the
+  /// watermark always describes exactly the histogram saved — after Drain()
+  /// it is the tenant's full accepted feedback history. The cut across
+  /// tenants is only as consistent as the caller makes it: call Drain()
+  /// first for a fleet-wide consistent cut. Fails with a Status if any
+  /// tenant's histogram does not support binary snapshots or the file
+  /// cannot be written.
   Status SaveSnapshot(const std::string& path) const;
 
   /// Aggregate counters (see FleetStats for the consistency caveat). Typed
   /// view over the serve.fleet.* registry cells.
   FleetStats stats() const;
 
+  /// One tenant's counters; kNotFound for an unknown tenant.
+  StatusOr<TenantStats> tenant_stats(std::string_view key) const;
+
   /// The registry holding this fleet's serve.fleet.* metrics.
   const obs::MetricsRegistry& metrics_registry() const { return *registry_; }
 
  private:
-  /// Claim states of one shard, the `in_flight` discipline. Only the thread
-  /// that wins kIdle→kQueued may enqueue the shard; only the pool worker
-  /// that performs kQueued→kRunning may refine it; a producer that finds it
-  /// kRunning marks kRunningDirty and the running worker re-queues on
-  /// release instead of going idle.
-  enum InFlight : uint32_t {
-    kIdle = 0,
-    kQueued = 1,
-    kRunning = 2,
-    kRunningDirty = 3,
-  };
-
-  struct Shard {
-    Shard(std::string key, uint64_t id, size_t queue_capacity)
-        : key(std::move(key)), id(id), queue(queue_capacity) {}
-
-    const std::string key;
-    const uint64_t id;  // TenantId(key): seed-deterministic.
-
-    /// Refiner-side working copy; touched only by the worker holding the
-    /// kRunning claim.
-    std::unique_ptr<Histogram> working;
-    std::atomic<std::shared_ptr<const Histogram>> snapshot;
-    const CardinalityOracle* oracle = nullptr;
-
-    BoundedQueue<Box> queue;
-    std::atomic<uint32_t> in_flight{kIdle};
-
-    /// Set by RemoveTenant: remaining feedback is drained (counters stay
-    /// consistent) but no further snapshot is published.
-    std::atomic<bool> removed{false};
-
-    /// Per-shard horizon counters for Drain (fleet metric cells are
-    /// aggregates and cannot answer per-shard questions).
-    std::atomic<size_t> accepted{0};
-    std::atomic<size_t> applied{0};
-    std::atomic<size_t> published{0};
-
-    /// Label-capped per-shard cells ("serve.fleet_shard_<label>.*", shared
-    /// with every other over-cap shard when the label is "other").
-    obs::Counter label_reads;
-    obs::Counter label_applied;
-  };
+  struct Feedback;
+  struct Reinit;
+  struct Shard;
 
   std::shared_ptr<Shard> FindShard(std::string_view key) const;
 
@@ -273,9 +367,30 @@ class ServiceFleet {
   /// at most one pool task per shard ever exists.
   void ScheduleShard(std::shared_ptr<Shard> shard);
 
-  /// One refiner run: claim kRunning, drain up to publish_batch items in
-  /// FIFO order, publish, release (re-queueing if dirty or backlogged).
+  /// One refiner run: claim kRunning, swap in a finished rebuild, drain up
+  /// to publish_batch items in FIFO order, publish, release (re-queueing if
+  /// dirty or backlogged).
   void RunShard(const std::shared_ptr<Shard>& shard);
+
+  /// Folds one item into the shard's drift loop (when it has one) and its
+  /// working copy. Claim holder only.
+  void ApplyFeedback(const std::shared_ptr<Shard>& shard,
+                     const Feedback& feedback);
+
+  /// Starts a rebuild from the shard's reservoir on a builder thread, or —
+  /// in synchronous mode — runs it and swaps it in before returning. Claim
+  /// holder only; no-op bookkeeping aside if one is in flight.
+  void StartRebuild(const std::shared_ptr<Shard>& shard);
+
+  /// The rebuild body: clusters the sample, initializes a fresh histogram,
+  /// validates it. Touches only the shard's immutable config, its clean
+  /// oracle, and the rebuild slots handed over by StartRebuild.
+  void RunRebuild(Shard* shard) const;
+
+  /// Joins the builder, replays the rebuild-window feedback, and makes the
+  /// rebuilt histogram the working copy (or aborts to the incumbent).
+  /// Returns whether a swap landed. Claim holder only.
+  bool CompleteSwap(Shard* shard);
 
   void PublishShard(Shard* shard);
   void NotifyDrain();
@@ -306,14 +421,19 @@ class ServiceFleet {
   obs::Gauge queue_depth_;
   obs::LatencyHistogram publish_seconds_;
 
-  // serve.snapshot.* handles (persistence, DESIGN.md §17); same cell names
-  // as HistogramService's, so a process saving through both aggregates.
+  // serve.snapshot.* handles (persistence, DESIGN.md §17).
   obs::Counter snapshot_saves_;
   obs::Gauge snapshot_bytes_;
   obs::LatencyHistogram snapshot_save_seconds_;
 
   std::mutex drain_mutex_;
   std::condition_variable drain_cv_;
+
+  /// Background builder threads started and not yet joined, fleet-wide
+  /// (removed tenants' included); Stop waits for this to reach zero.
+  std::mutex rebuild_mutex_;
+  std::condition_variable rebuild_cv_;
+  size_t builders_ = 0;  // Guarded by rebuild_mutex_.
 
   /// Declared last so nothing the workers touch outlives them; explicitly
   /// reset in the destructor after Stop.

@@ -5,13 +5,13 @@
 #include <cstring>
 
 #include "core/binfmt.h"
+#include "histogram/registry.h"
 
 namespace sthist {
 namespace snapshot_io {
 
 namespace {
 
-constexpr char kServiceMagic[] = "STHS";
 constexpr char kFleetMagic[] = "STHF";
 
 /// Reads a u64-length-prefixed byte string at `*cursor`, bounds-checked
@@ -37,40 +37,6 @@ Status ReadLengthPrefixed(const char** cursor, const char* end,
 
 }  // namespace
 
-std::string EncodeServiceSnapshot(const ServiceSnapshot& snapshot) {
-  std::string payload;
-  binfmt::AppendU64(&payload, snapshot.applied_feedback);
-  binfmt::AppendU64(&payload, snapshot.estimator.size());
-  payload.append(snapshot.estimator);
-  binfmt::AppendU64(&payload, snapshot.histogram.size());
-  payload.append(snapshot.histogram);
-  return binfmt::Frame(kServiceMagic, kFormatVersion, payload);
-}
-
-StatusOr<ServiceSnapshot> DecodeServiceSnapshot(std::string_view bytes) {
-  StatusOr<std::string_view> framed =
-      binfmt::Unframe(kServiceMagic, kFormatVersion, bytes);
-  if (!framed.ok()) return framed.status();
-  const std::string_view payload = *framed;
-  if (payload.size() < 8) {
-    return Status::InvalidArgument(
-        "service snapshot payload shorter than its feedback watermark");
-  }
-  ServiceSnapshot snapshot;
-  snapshot.applied_feedback = binfmt::ReadU64(payload.data());
-  const char* cursor = payload.data() + 8;
-  const char* end = payload.data() + payload.size();
-  STHIST_RETURN_IF_ERROR(
-      ReadLengthPrefixed(&cursor, end, "estimator name", &snapshot.estimator));
-  STHIST_RETURN_IF_ERROR(
-      ReadLengthPrefixed(&cursor, end, "histogram blob", &snapshot.histogram));
-  if (cursor != end) {
-    return Status::InvalidArgument(
-        "service snapshot has trailing bytes after the histogram blob");
-  }
-  return snapshot;
-}
-
 std::string EncodeFleetSnapshot(const FleetSnapshot& snapshot) {
   std::string payload;
   binfmt::AppendU64(&payload, snapshot.seed);
@@ -80,6 +46,7 @@ std::string EncodeFleetSnapshot(const FleetSnapshot& snapshot) {
     payload.append(tenant.key);
     binfmt::AppendU64(&payload, tenant.estimator.size());
     payload.append(tenant.estimator);
+    binfmt::AppendU64(&payload, tenant.applied_feedback);
     binfmt::AppendU64(&payload, tenant.histogram.size());
     payload.append(tenant.histogram);
   }
@@ -98,9 +65,10 @@ StatusOr<FleetSnapshot> DecodeFleetSnapshot(std::string_view bytes) {
   FleetSnapshot snapshot;
   snapshot.seed = binfmt::ReadU64(payload.data());
   const uint64_t tenant_count = binfmt::ReadU64(payload.data() + 8);
-  // Every tenant carries at least two length prefixes; a count the payload
-  // cannot possibly hold is rejected before the reserve scales with it.
-  if (tenant_count > payload.size() / 16) {
+  // Every tenant carries three length prefixes and its watermark; a count
+  // the payload cannot possibly hold is rejected before the reserve scales
+  // with it.
+  if (tenant_count > (payload.size() - 16) / 32) {
     return StatusF(StatusCode::kInvalidArgument,
                    "fleet snapshot claims %llu tenants but holds only "
                    "%zu payload bytes",
@@ -117,8 +85,39 @@ StatusOr<FleetSnapshot> DecodeFleetSnapshot(std::string_view bytes) {
     STHIST_RETURN_IF_ERROR(ReadLengthPrefixed(&cursor, end,
                                               "tenant estimator name",
                                               &tenant.estimator));
+    if (end - cursor < 8) {
+      return Status::InvalidArgument(
+          "snapshot truncated inside a tenant's feedback watermark");
+    }
+    tenant.applied_feedback = binfmt::ReadU64(cursor);
+    cursor += 8;
     STHIST_RETURN_IF_ERROR(ReadLengthPrefixed(
         &cursor, end, "tenant histogram blob", &tenant.histogram));
+    // SaveSnapshot writes sorted unique non-empty keys and labels each blob
+    // by its own magic; anything else would decode here only to be refused
+    // by a restore.
+    const unsigned long long index = i;
+    if (tenant.key.empty()) {
+      return StatusF(StatusCode::kInvalidArgument,
+                     "fleet snapshot tenant %llu has an empty key", index);
+    }
+    if (i > 0 && tenant.key <= snapshot.tenants.back().key) {
+      return StatusF(StatusCode::kInvalidArgument,
+                     "fleet snapshot tenant %llu key '%s' does not sort "
+                     "strictly after '%s' (keys are saved sorted and unique)",
+                     index, tenant.key.c_str(),
+                     snapshot.tenants.back().key.c_str());
+    }
+    const std::string_view blob_estimator =
+        EstimatorNameForBlob(tenant.histogram);
+    if (tenant.estimator != blob_estimator) {
+      return StatusF(StatusCode::kInvalidArgument,
+                     "fleet snapshot tenant %llu ('%s') is labelled "
+                     "estimator '%s' but its histogram blob is '%.*s'",
+                     index, tenant.key.c_str(), tenant.estimator.c_str(),
+                     static_cast<int>(blob_estimator.size()),
+                     blob_estimator.data());
+    }
     snapshot.tenants.push_back(std::move(tenant));
   }
   if (cursor != end) {

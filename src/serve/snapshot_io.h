@@ -10,58 +10,47 @@
 #include "core/status.h"
 
 /// \file
-/// Versioned binary snapshot containers for the serving layer (DESIGN.md
+/// The versioned binary snapshot container of the serving layer (DESIGN.md
 /// §17), layered over the same frame primitive as the STHoles bucket blob
 /// (core/binfmt.h):
 ///
-///   "STHS" — one HistogramService: the applied-feedback watermark, the
-///            published estimator's registry name, and its histogram blob
-///            ("STHB", "STHK", ...). The watermark is what warm restart
-///            needs to resume a deterministic feedback stream where the
-///            saved run left off.
-///   "STHF" — one ServiceFleet: the fleet seed plus every tenant's key,
-///            estimator name, and histogram blob, in the iteration order of
-///            the save.
+///   "STHF" — one ServiceFleet: the fleet seed plus, per tenant, its key,
+///            estimator name, applied-feedback watermark, and histogram blob
+///            ("STHB", "STHK", ...), in sorted key order. The watermark is
+///            what warm restart needs to resume a deterministic feedback
+///            stream where the saved run left off.
 ///
 /// The nested histogram blobs stay opaque here — they carry their own frame
 /// and are decoded through the estimator registry (RestoreHistogram
 /// dispatches on each blob's own magic), so corruption inside a tenant's
 /// payload is caught by that layer even though this one's checksum would
 /// already have flagged it. The stored estimator name makes snapshots
-/// self-describing for operators and lets restore paths cross-check the
-/// blob against what the save claimed. Every decode fails closed with a
-/// Status.
+/// self-describing for operators. The decoder cross-checks it against the
+/// blob's magic and rejects empty, duplicate, or unsorted keys — files
+/// SaveSnapshot never writes and a restore would refuse. Every decode fails
+/// closed with a Status naming the offending tenant's index.
 
 namespace sthist {
 namespace snapshot_io {
 
-/// Version of the service/fleet container formats. Evolution policy
-/// (DESIGN.md §17): any layout change bumps this, old numbers are never
-/// reused, and readers reject mismatches naming both versions. Version 2
-/// added the estimator registry name (version 1 assumed STHoles).
-inline constexpr uint32_t kFormatVersion = 2;
-
-/// One service's persisted state.
-struct ServiceSnapshot {
-  /// Feedback items the refiner had applied and published when the snapshot
-  /// was cut (the Drain barrier makes this exact, DESIGN.md §17).
-  uint64_t applied_feedback = 0;
-  /// Registry name of the published estimator ("stholes", "kde", ...),
-  /// derived from the blob's magic at save time (EstimatorNameForBlob).
-  std::string estimator;
-  /// The published histogram's SerializeBinary() blob.
-  std::string histogram;
-};
-
-std::string EncodeServiceSnapshot(const ServiceSnapshot& snapshot);
-StatusOr<ServiceSnapshot> DecodeServiceSnapshot(std::string_view bytes);
+/// Version of the fleet container format. Evolution policy (DESIGN.md
+/// §17): any layout change bumps this, old numbers are never reused, and
+/// readers reject mismatches naming both versions. Version 2 added the
+/// estimator registry name (version 1 assumed STHoles); version 3 added the
+/// per-tenant applied-feedback watermark.
+inline constexpr uint32_t kFormatVersion = 3;
 
 /// One tenant's persisted state inside a fleet snapshot.
 struct FleetTenant {
   /// Caller-visible tenant key.
   std::string key;
-  /// Registry name of the tenant's estimator.
+  /// Registry name of the tenant's estimator ("stholes", "kde", ...),
+  /// derived from the blob's magic at save time (EstimatorNameForBlob).
   std::string estimator;
+  /// Feedback items the tenant had applied and published when its snapshot
+  /// was cut, cumulative over restores (the Drain barrier makes this exact,
+  /// DESIGN.md §17).
+  uint64_t applied_feedback = 0;
   /// The tenant histogram's SerializeBinary() blob.
   std::string histogram;
 };

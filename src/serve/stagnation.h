@@ -18,12 +18,13 @@ namespace sthist {
 ///
 /// The paper's initialization fixes stagnation (Lemmas 1–3) *offline*; under
 /// drift the served histogram regresses back into stuck states at runtime.
-/// These two pieces close the loop inside HistogramService: the detector
-/// watches a rolling NAE of served estimates against the trivial-histogram
-/// control (paper eq. 10, windowed), and the reservoir maintains a
-/// deterministic sample of recent feedback so a re-initialization has data
-/// to cluster when the detector fires. Both are single-threaded by contract
-/// — they live on the refiner thread, never on read paths.
+/// These two pieces close the loop inside every ServiceFleet tenant added
+/// with re-init (TenantOptions::reinit): the detector watches a rolling NAE
+/// of served estimates against the trivial-histogram control (paper eq. 10,
+/// windowed), and the reservoir maintains a deterministic sample of recent
+/// feedback so a re-initialization has data to cluster when the detector
+/// fires. Both are single-threaded by contract — only the pool worker
+/// holding the tenant's claim touches them, never a read path.
 
 /// Knobs for the stagnation detector.
 struct StagnationConfig {
@@ -132,7 +133,7 @@ struct ReservoirConfig {
 Status Validate(const ReservoirConfig& config);
 
 /// Deterministic reservoir sample over the feedback stream. Feedback arrives
-/// as (box, actual-count) pairs — the service never sees tuples, so this
+/// as (box, actual-count) pairs — the fleet never sees tuples, so this
 /// wrapper synthesizes count-weighted points uniformly inside each feedback
 /// box and offers them to a shared core Reservoir<Point> (Algorithm R +
 /// ageing, DESIGN.md §18). Not thread-safe — refiner-thread only.
@@ -156,7 +157,7 @@ class FeedbackReservoir {
 
   /// Empties the sample and restarts the stream counter (the RNGs are NOT
   /// reset: the reservoir remains deterministic over the whole life of the
-  /// service, not per-epoch).
+  /// tenant, not per-epoch).
   void Clear();
 
  private:

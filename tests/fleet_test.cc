@@ -1,10 +1,10 @@
 // Fleet battery for the sharded multi-tenant serving layer
 // (serve/service_fleet.h). The determinism centerpiece: per-shard replay
 // through a K-refiner pool must be bitwise-identical (std::bit_cast) to a
-// 1-refiner pool, to a standalone HistogramService fed the same stream, and
-// to a serial single-threaded replay. Around it: an 8-reader × 16-tenant
-// stress (the TSan structural race detector for the pool), tenant add/remove
-// under live traffic, shed isolation, and a scheduler unit proving the
+// 1-refiner pool and to a serial single-threaded replay, with and without
+// refine-path fault injection. Around it: an 8-reader × 16-tenant stress
+// (the TSan structural race detector for the pool), tenant add/remove under
+// live traffic, shed isolation, and a scheduler unit proving the
 // work-claiming rule never runs one shard on two refiners.
 
 #include <gtest/gtest.h>
@@ -23,7 +23,6 @@
 #include "core/rng.h"
 #include "data/generators.h"
 #include "histogram/stholes.h"
-#include "serve/histogram_service.h"
 #include "serve/service_fleet.h"
 #include "workload/query.h"
 #include "workload/workload.h"
@@ -181,8 +180,8 @@ TEST(FleetTest, TenantIdIsSeedDeterministic) {
 
 // The determinism centerpiece: the same per-tenant FIFO streams produce
 // bitwise-identical final snapshots whether the fleet runs 1 refiner or 4,
-// and whether the tenant is a fleet shard or a standalone HistogramService.
-TEST(FleetTest, PerShardReplayBitwiseAcrossRefinerCountsAndVsStandalone) {
+// and both equal a serial single-threaded replay.
+TEST(FleetTest, PerShardReplayBitwiseAcrossRefinerCounts) {
   constexpr size_t kTenants = 16;
   constexpr size_t kBuckets = 24;
   constexpr size_t kFeedback = 40;
@@ -244,25 +243,72 @@ TEST(FleetTest, PerShardReplayBitwiseAcrossRefinerCountsAndVsStandalone) {
     const std::vector<double> serial = SerialReplayEstimates(
         setup, t, kBuckets,
         {setup.feedback[t].begin(), setup.feedback[t].end()});
-    // Ground truth 2: a standalone single-histogram service.
-    HistogramService standalone(
-        MakeTenantHistogram(setup.variant_of(t), kBuckets),
-        *setup.variant_of(t).executor);
-    for (const Box& q : setup.feedback[t]) {
-      ASSERT_EQ(standalone.SubmitFeedback(q), FeedbackOutcome::kAccepted);
-    }
-    standalone.Stop();
-    std::shared_ptr<const Histogram> standalone_snap = standalone.snapshot();
-
     const Workload& probes = setup.probes_of(t);
     for (size_t p = 0; p < probes.size(); ++p) {
       EXPECT_TRUE(BitEqual(pool1[t][p], serial[p]))
           << "1-refiner fleet diverged from serial replay, tenant " << t;
       EXPECT_TRUE(BitEqual(pool4[t][p], serial[p]))
           << "4-refiner fleet diverged from serial replay, tenant " << t;
-      EXPECT_TRUE(
-          BitEqual(standalone_snap->EstimateLinear(probes[p]), serial[p]))
-          << "standalone service diverged from serial replay, tenant " << t;
+    }
+  }
+}
+
+// FleetConfig::faults gives every shard its own FaultyOracle on the refine
+// path. The injected faults must reach the histograms (their robustness
+// layer records events), cost no feedback (accepted == applied), and stay
+// deterministic per shard: each tenant's final snapshot is bit-identical at
+// 1 and 4 refiners.
+TEST(FleetTest, RefinePathFaultsAreDeterministicPerShard) {
+  constexpr size_t kTenants = 6;
+  constexpr size_t kBuckets = 20;
+  constexpr size_t kFeedback = 60;
+  FleetSetup setup = MakeFleetSetup(kTenants, kFeedback, 20);
+
+  auto run_fleet = [&](size_t refiners) {
+    FleetConfig config;
+    config.refiners = refiners;
+    config.queue_capacity = 4096;
+    config.publish_batch = 8;
+    config.faults.rate = 0.2;
+    config.faults.seed = 11;
+    ServiceFleet fleet(config);
+    for (size_t t = 0; t < kTenants; ++t) {
+      EXPECT_TRUE(fleet
+                      .AddTenant(setup.keys[t],
+                                 MakeTenantHistogram(setup.variant_of(t),
+                                                     kBuckets),
+                                 *setup.variant_of(t).executor)
+                      .ok());
+    }
+    for (size_t i = 0; i < kFeedback; ++i) {
+      for (size_t t = 0; t < kTenants; ++t) {
+        EXPECT_TRUE(
+            fleet.SubmitFeedback(setup.keys[t], setup.feedback[t][i]).ok());
+      }
+    }
+    EXPECT_TRUE(fleet.Drain().ok());
+    const FleetStats stats = fleet.stats();
+    EXPECT_EQ(stats.feedback_accepted, kTenants * kFeedback);
+    EXPECT_EQ(stats.feedback_applied, stats.feedback_accepted);
+
+    std::vector<std::vector<double>> estimates(kTenants);
+    for (size_t t = 0; t < kTenants; ++t) {
+      std::shared_ptr<const Histogram> snap = fleet.Snapshot(setup.keys[t]);
+      EXPECT_GT(snap->robustness().total(), 0u)
+          << "tenant " << t << " recorded no robustness events";
+      for (const Box& probe : setup.probes_of(t)) {
+        estimates[t].push_back(snap->EstimateLinear(probe));
+      }
+    }
+    return estimates;
+  };
+
+  const std::vector<std::vector<double>> pool1 = run_fleet(1);
+  const std::vector<std::vector<double>> pool4 = run_fleet(4);
+  for (size_t t = 0; t < kTenants; ++t) {
+    for (size_t p = 0; p < pool1[t].size(); ++p) {
+      EXPECT_TRUE(BitEqual(pool1[t][p], pool4[t][p]))
+          << "faulted tenant " << t << " diverged between 1 and 4 refiners";
     }
   }
 }

@@ -4,8 +4,7 @@
 // beats the fixed Scott's-rule baseline on a drifting stream; the STHK
 // snapshot fails closed on corruption; the estimator registry constructs
 // every family by name and dispatches restores on the blob magic; and a
-// KDE-backed HistogramService snapshot round-trips through the v2 service
-// container bit-exactly.
+// KDE tenant's snapshot round-trips through the STHF container bit-exactly.
 
 #include <gtest/gtest.h>
 
@@ -25,7 +24,7 @@
 #include "histogram/registry.h"
 #include "histogram/stholes.h"
 #include "histogram/trivial.h"
-#include "serve/histogram_service.h"
+#include "serve/service_fleet.h"
 #include "serve/snapshot_io.h"
 #include "workload/drift.h"
 #include "workload/query.h"
@@ -346,50 +345,55 @@ TEST(RegistryTest, RestoreDispatchesOnBlobMagic) {
 // ---------------------------------------------------------------------------
 // KDE-backed serving
 
-// A KdeHistogram drives the full HistogramService snapshot cycle: the saved
-// STHS container self-describes its estimator as "kde", and restoring the
-// embedded blob through the registry reproduces the served snapshot
-// bit-exactly.
-TEST(KdeTest, ServiceSnapshotRoundTripsThroughRegistry) {
+// A KdeHistogram drives the full serving snapshot cycle as a fleet tenant:
+// the saved STHF container self-describes the tenant's estimator as "kde",
+// and restoring the embedded blob through the registry reproduces the
+// served snapshot bit-exactly.
+TEST(KdeTest, TenantSnapshotRoundTripsThroughRegistry) {
   KdeRig rig;
   KdeConfig config;
   config.sample_capacity = 128;
   auto hist = std::make_unique<KdeHistogram>(
       rig.g.domain, static_cast<double>(rig.g.data.size()), config);
 
-  ServiceConfig sc;
-  HistogramService service(std::move(hist), *rig.executor, sc);
+  FleetConfig fc;
+  fc.refiners = 1;
+  ServiceFleet fleet(fc);
+  ASSERT_TRUE(fleet.AddTenant("kde", std::move(hist), *rig.executor).ok());
   for (const Box& q : rig.Queries(200, 47)) {
-    if (service.SubmitFeedback(q) == FeedbackOutcome::kQueueFull) {
-      ASSERT_TRUE(service.Drain().ok());
-      (void)service.SubmitFeedback(q);
+    if (*fleet.SubmitFeedback("kde", q) == FleetFeedbackOutcome::kQueueFull) {
+      ASSERT_TRUE(fleet.Drain().ok());
+      (void)fleet.SubmitFeedback("kde", q);
     }
   }
-  ASSERT_TRUE(service.Drain().ok());
+  ASSERT_TRUE(fleet.Drain().ok());
 
   const std::string path = testing::TempDir() + "sthist_kde_service.snap";
-  ASSERT_TRUE(service.SaveSnapshot(path).ok());
+  ASSERT_TRUE(fleet.SaveSnapshot(path).ok());
   StatusOr<std::string> bytes = snapshot_io::ReadFile(path);
   ASSERT_TRUE(bytes.ok());
   std::remove(path.c_str());
 
-  StatusOr<snapshot_io::ServiceSnapshot> snap =
-      snapshot_io::DecodeServiceSnapshot(*bytes);
+  StatusOr<snapshot_io::FleetSnapshot> snap =
+      snapshot_io::DecodeFleetSnapshot(*bytes);
   ASSERT_TRUE(snap.ok()) << snap.status().ToString();
-  EXPECT_EQ(snap->estimator, "kde");
+  ASSERT_EQ(snap->tenants.size(), 1u);
+  const snapshot_io::FleetTenant& tenant = snap->tenants.front();
+  EXPECT_EQ(tenant.estimator, "kde");
+  EXPECT_EQ(tenant.applied_feedback, fleet.stats().feedback_applied);
 
   HistogramConfig hc;
   hc.buckets = config.sample_capacity;
   StatusOr<std::unique_ptr<Histogram>> restored =
-      RestoreHistogram(snap->histogram, hc);
+      RestoreHistogram(tenant.histogram, hc);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
 
-  std::shared_ptr<const Histogram> live = service.snapshot();
+  std::shared_ptr<const Histogram> live = fleet.Snapshot("kde");
   ASSERT_NE(live, nullptr);
   for (const Box& q : rig.Queries(60, 53)) {
     EXPECT_EQ(Bits((*restored)->Estimate(q)), Bits(live->Estimate(q)));
   }
-  service.Stop();
+  fleet.Stop();
 }
 
 }  // namespace

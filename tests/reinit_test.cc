@@ -1,10 +1,12 @@
 // Drift-recovery battery for the serving layer's stagnation detector,
 // feedback reservoir, and hot-swap re-initialization (serve/stagnation.h,
-// serve/histogram_service.h). The synchronous-rebuild tests hold the whole
-// trigger -> rebuild -> swap -> recovery loop to run-twice bitwise equality;
-// the background tests pin the liveness contract (reads and refinement never
-// block on a rebuild) and the failure contract (a failed or faulted rebuild
-// leaves the incumbent serving and increments swaps_aborted).
+// and the per-tenant drift loop of serve/service_fleet.h). The
+// synchronous-rebuild tests hold the whole trigger -> rebuild -> swap ->
+// recovery loop to run-twice and 1-vs-4-refiner bitwise equality; the
+// background tests pin the liveness contract (reads and refinement never
+// block on a rebuild), the lifetime contract (no builder thread outlives its
+// fleet) and the failure contract (a failed or faulted rebuild leaves the
+// incumbent serving and increments swaps_aborted).
 
 #include <gtest/gtest.h>
 
@@ -17,7 +19,9 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/box.h"
@@ -25,7 +29,7 @@
 #include "data/dataset.h"
 #include "eval/metrics.h"
 #include "histogram/stholes.h"
-#include "serve/histogram_service.h"
+#include "serve/service_fleet.h"
 #include "serve/stagnation.h"
 #include "workload/drift.h"
 #include "workload/query.h"
@@ -264,8 +268,10 @@ TEST(FeedbackReservoirTest, ClearEmptiesTheSample) {
 }
 
 // ---------------------------------------------------------------------------
-// HistogramService re-initialization integration.
+// Per-tenant re-initialization through ServiceFleet.
 // ---------------------------------------------------------------------------
+
+constexpr char kTenant[] = "drifting";
 
 // One drifting serving scenario: a moving-Cross schedule with a single large
 // jump between phase 0 (the histogram's training distribution) and phase 1
@@ -308,85 +314,73 @@ std::unique_ptr<STHoles> TrainOnPhase(const DriftSetup& setup, size_t p,
   return hist;
 }
 
-ServiceConfig ReinitServiceConfig(const DriftSetup& setup) {
-  ServiceConfig config;
-  config.reinit.enabled = true;
-  config.reinit.domain = setup.schedule.domain();
-  config.reinit.background = false;  // Deterministic inline rebuilds.
-  config.reinit.detector.window = 32;
-  config.reinit.detector.trigger_nae = 0.5;
-  config.reinit.detector.rearm_nae = 0.3;
-  config.reinit.detector.cooldown = 40;
-  config.reinit.detector.retrigger_backstop = 120;
-  config.reinit.reservoir.capacity = 256;
-  return config;
+TenantOptions ReinitTenant(const DriftSetup& setup) {
+  TenantOptions options;
+  ReinitConfig& reinit = options.reinit;
+  reinit.enabled = true;
+  reinit.domain = setup.schedule.domain();
+  reinit.background = false;  // Deterministic inline rebuilds.
+  reinit.detector.window = 32;
+  reinit.detector.trigger_nae = 0.5;
+  reinit.detector.rearm_nae = 0.3;
+  reinit.detector.cooldown = 40;
+  reinit.detector.retrigger_backstop = 120;
+  reinit.reservoir.capacity = 256;
+  return options;
+}
+
+// A fleet of `refiners` serving the phase-0-trained histogram as kTenant
+// with `options`, the oracle left on phase 0 for the trivial control.
+std::unique_ptr<ServiceFleet> DriftingFleet(const DriftSetup& setup,
+                                            const TenantOptions& options,
+                                            size_t refiners = 1) {
+  FleetConfig config;
+  config.refiners = refiners;
+  config.queue_capacity = 4096;
+  auto fleet = std::make_unique<ServiceFleet>(config);
+  setup.oracle->SetPhase(0);
+  EXPECT_TRUE(fleet
+                  ->AddTenant(kTenant, TrainOnPhase(setup, 0, 40),
+                              *setup.oracle, options)
+                  .ok());
+  return fleet;
 }
 
 struct RunResult {
-  ServiceStats stats;
+  TenantStats stats;
   std::vector<double> final_estimates;
 };
 
-// Serves phase 1 through a service whose histogram was trained on phase 0,
-// submitting each query's served estimate as feedback and draining per item
-// so the loop is fully deterministic.
-RunResult ServePhaseOne(const DriftSetup& setup, const ServiceConfig& config) {
-  setup.oracle->SetPhase(0);
-  HistogramService service(TrainOnPhase(setup, 0, 40), *setup.oracle, config);
-  setup.oracle->SetPhase(1);
-  const Workload& queries = setup.schedule.phase(1).queries;
-  for (const Box& q : queries) {
-    const double est = service.Estimate(q);
-    // A drain-per-item single producer can never fill the queue.
-    STHIST_CHECK(service.SubmitFeedback(q, est) == FeedbackOutcome::kAccepted);
-    STHIST_CHECK(service.Drain().ok());
-  }
-  service.Stop();
+// `key`'s counters and its estimates of `probes`, read from a stopped fleet.
+RunResult Collect(const ServiceFleet& fleet, const std::string& key,
+                  const Workload& probes) {
   RunResult result;
-  result.stats = service.stats();
-  for (const Box& q : queries) {
-    result.final_estimates.push_back(service.Estimate(q));
+  result.stats = *fleet.tenant_stats(key);
+  for (const Box& q : probes) {
+    result.final_estimates.push_back(*fleet.Estimate(key, q));
   }
   return result;
 }
 
-// The acceptance loop: drift degrades the served estimates past the trigger,
-// the detector fires, the rebuild swaps in, and the post-swap rolling NAE
-// falls back below the trigger threshold.
-TEST(ReinitServiceTest, TriggerSwapAndRecoveryUnderDrift) {
-  DriftSetup setup = MakeDriftSetup();
-  ServiceConfig config = ReinitServiceConfig(setup);
-  // Rebuild hook: a histogram trained on the drifted phase stands in for the
-  // MineClus pipeline, so recovery depends only on the swap plumbing.
-  std::unique_ptr<STHoles> reference = TrainOnPhase(setup, 1, 40);
-  const STHoles* reference_raw = reference.get();
-  config.reinit.rebuild_override = [reference_raw](const Dataset& sample,
-                                                   double total) {
-    EXPECT_GT(sample.size(), 0u) << "the reservoir must feed the rebuild";
-    EXPECT_GT(total, 0.0);
-    return reference_raw->Clone();
-  };
-
-  RunResult result = ServePhaseOne(setup, config);
-  EXPECT_GE(result.stats.reinit_triggers, 1u);
-  EXPECT_GE(result.stats.reinit_swaps_completed, 1u);
-  EXPECT_EQ(result.stats.reinit_swaps_aborted, 0u);
-  EXPECT_LT(result.stats.rolling_nae, config.reinit.detector.trigger_nae)
-      << "post-swap serving quality must recover below the trigger";
-  EXPECT_EQ(result.stats.feedback_applied, result.stats.feedback_accepted);
-
-  // keep the reference alive through the run.
-  (void)reference;
+// Serves phase 1 through a tenant whose histogram was trained on phase 0,
+// submitting each query's served estimate as feedback and draining per item
+// so the loop is fully deterministic.
+RunResult ServePhaseOne(const DriftSetup& setup, const TenantOptions& options) {
+  std::unique_ptr<ServiceFleet> fleet = DriftingFleet(setup, options);
+  setup.oracle->SetPhase(1);
+  const Workload& queries = setup.schedule.phase(1).queries;
+  for (const Box& q : queries) {
+    const double est = *fleet->Estimate(kTenant, q);
+    // A drain-per-item single producer can never fill the queue.
+    STHIST_CHECK(*fleet->SubmitFeedback(kTenant, q, est) ==
+                 FleetFeedbackOutcome::kAccepted);
+    STHIST_CHECK(fleet->Drain().ok());
+  }
+  fleet->Stop();
+  return Collect(*fleet, kTenant, queries);
 }
 
-// Same loop, run twice: synchronous mode is bitwise deterministic end to end
-// (trigger counts, swap counts, and every final estimate).
-TEST(ReinitServiceTest, SynchronousModeIsRunTwiceDeterministic) {
-  DriftSetup setup = MakeDriftSetup();
-  ServiceConfig config = ReinitServiceConfig(setup);
-
-  RunResult a = ServePhaseOne(setup, config);
-  RunResult b = ServePhaseOne(setup, config);
+void ExpectBitIdentical(const RunResult& a, const RunResult& b) {
   EXPECT_EQ(a.stats.reinit_triggers, b.stats.reinit_triggers);
   EXPECT_EQ(a.stats.reinit_swaps_completed, b.stats.reinit_swaps_completed);
   EXPECT_EQ(a.stats.reinit_swaps_aborted, b.stats.reinit_swaps_aborted);
@@ -394,7 +388,204 @@ TEST(ReinitServiceTest, SynchronousModeIsRunTwiceDeterministic) {
   ASSERT_EQ(a.final_estimates.size(), b.final_estimates.size());
   for (size_t i = 0; i < a.final_estimates.size(); ++i) {
     EXPECT_TRUE(BitEqual(a.final_estimates[i], b.final_estimates[i]))
-        << "estimate " << i << " diverged between identical runs";
+        << "estimate " << i << " diverged";
+  }
+}
+
+// A one-shot gate a rebuild hook parks on: the builder reports entry, then
+// waits until the test opens the gate.
+class BuilderGate {
+ public:
+  void ParkUntilOpened() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    entered_ = true;
+    cv_.notify_all();
+    cv_.wait(lock, [this] { return open_; });
+  }
+
+  bool entered() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return entered_;
+  }
+
+  bool WaitUntilEntered() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    return cv_.wait_for(lock, std::chrono::seconds(10),
+                        [this] { return entered_; });
+  }
+
+  void Open() {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool entered_ = false;
+  bool open_ = false;
+};
+
+// A background re-init tenant whose rebuild parks on `gate` and then
+// returns a clone of `reference`; `returned` flips once the hook is done.
+TenantOptions ParkedRebuildTenant(const DriftSetup& setup, BuilderGate* gate,
+                                  const STHoles* reference,
+                                  std::atomic<bool>* returned = nullptr) {
+  TenantOptions options = ReinitTenant(setup);
+  options.reinit.background = true;
+  options.reinit.rebuild_override = [gate, reference, returned](
+                                        const Dataset&, double) {
+    gate->ParkUntilOpened();
+    if (returned != nullptr) returned->store(true);
+    return reference->Clone();
+  };
+  return options;
+}
+
+// Feeds phase-1 queries with garbage served estimates until the trigger
+// parks the builder on `gate`. Returns how many items were fed.
+size_t ForceTrigger(const DriftSetup& setup, ServiceFleet& fleet,
+                    BuilderGate& gate) {
+  setup.oracle->SetPhase(1);
+  size_t fed = 0;
+  for (const Box& q : setup.schedule.phase(1).queries) {
+    (void)fleet.SubmitFeedback(kTenant, q, 1e7);
+    ++fed;
+    if (gate.entered()) break;
+  }
+  EXPECT_TRUE(gate.WaitUntilEntered())
+      << "the trigger never started a background rebuild";
+  return fed;
+}
+
+// An unusable re-init config is a caller error the fleet reports with a
+// Status, never an abort: no domain, or detector/reservoir knobs that
+// Validate rejects.
+TEST(ReinitServiceTest, AddTenantRejectsInvalidReinitConfig) {
+  DriftSetup setup = MakeDriftSetup();
+  ServiceFleet fleet;
+  auto add = [&](const TenantOptions& options) {
+    return fleet
+        .AddTenant(kTenant, TrainOnPhase(setup, 0, 20), *setup.oracle,
+                   options)
+        .code();
+  };
+  TenantOptions no_domain = ReinitTenant(setup);
+  no_domain.reinit.domain = Box();
+  EXPECT_EQ(add(no_domain), StatusCode::kInvalidArgument);
+  TenantOptions bad_detector = ReinitTenant(setup);
+  bad_detector.reinit.detector.window = 0;
+  EXPECT_EQ(add(bad_detector), StatusCode::kInvalidArgument);
+  TenantOptions bad_hysteresis = ReinitTenant(setup);
+  bad_hysteresis.reinit.detector.rearm_nae =
+      bad_hysteresis.reinit.detector.trigger_nae;
+  EXPECT_EQ(add(bad_hysteresis), StatusCode::kInvalidArgument);
+  TenantOptions bad_reservoir = ReinitTenant(setup);
+  bad_reservoir.reinit.reservoir.capacity = 0;
+  EXPECT_EQ(add(bad_reservoir), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(fleet.HasTenant(kTenant)) << "no rejected tenant was added";
+
+  // The same bad knobs are ignored while re-init is off.
+  TenantOptions disabled = bad_reservoir;
+  disabled.reinit.enabled = false;
+  EXPECT_EQ(add(disabled), StatusCode::kOk);
+}
+
+// The acceptance loop: drift degrades the served estimates past the trigger,
+// the detector fires, the rebuild swaps in, and the post-swap rolling NAE
+// falls back below the trigger threshold.
+TEST(ReinitServiceTest, TriggerSwapAndRecoveryUnderDrift) {
+  DriftSetup setup = MakeDriftSetup();
+  TenantOptions options = ReinitTenant(setup);
+  // Rebuild hook: a histogram trained on the drifted phase stands in for the
+  // MineClus pipeline, so recovery depends only on the swap plumbing.
+  std::unique_ptr<STHoles> reference = TrainOnPhase(setup, 1, 40);
+  const STHoles* reference_raw = reference.get();
+  options.reinit.rebuild_override = [reference_raw](const Dataset& sample,
+                                                    double total) {
+    EXPECT_GT(sample.size(), 0u) << "the reservoir must feed the rebuild";
+    EXPECT_GT(total, 0.0);
+    return reference_raw->Clone();
+  };
+
+  RunResult result = ServePhaseOne(setup, options);
+  EXPECT_GE(result.stats.reinit_triggers, 1u);
+  EXPECT_GE(result.stats.reinit_swaps_completed, 1u);
+  EXPECT_EQ(result.stats.reinit_swaps_aborted, 0u);
+  EXPECT_LT(result.stats.rolling_nae, options.reinit.detector.trigger_nae)
+      << "post-swap serving quality must recover below the trigger";
+  EXPECT_EQ(result.stats.feedback_applied, result.stats.feedback_accepted);
+}
+
+// Same loop, run twice: synchronous mode is bitwise deterministic end to end
+// (trigger counts, swap counts, and every final estimate).
+TEST(ReinitServiceTest, SynchronousModeIsRunTwiceDeterministic) {
+  DriftSetup setup = MakeDriftSetup();
+  TenantOptions options = ReinitTenant(setup);
+
+  RunResult a = ServePhaseOne(setup, options);
+  RunResult b = ServePhaseOne(setup, options);
+  ExpectBitIdentical(a, b);
+}
+
+// Drift recovery is per tenant: a re-init tenant and a plain neighbour share
+// one fleet. The re-init tenant's trigger/swap counts and final snapshot are
+// bit-identical at 1 and 4 refiners, and the neighbour — whose oracle never
+// drifts — ends exactly where a serial replay of its stream does.
+TEST(ReinitServiceTest, DriftRecoveryIsPerTenantAndRefinerCountInvariant) {
+  DriftSetup setup = MakeDriftSetup();
+  const DriftPhase& home = setup.schedule.phase(0);
+  Executor neighbour_oracle(home.data.data);
+  const Workload& drifted = setup.schedule.phase(1).queries;
+  const std::string neighbour = "neighbour";
+  auto neighbour_histogram = [&] {
+    STHolesConfig config;
+    config.max_buckets = 30;
+    return std::make_unique<STHoles>(
+        setup.schedule.domain(), static_cast<double>(home.data.data.size()),
+        config);
+  };
+
+  auto run = [&](size_t refiners) {
+    std::unique_ptr<ServiceFleet> fleet =
+        DriftingFleet(setup, ReinitTenant(setup), refiners);
+    EXPECT_TRUE(fleet
+                    ->AddTenant(neighbour, neighbour_histogram(),
+                                neighbour_oracle)
+                    .ok());
+    setup.oracle->SetPhase(1);
+    for (size_t i = 0; i < drifted.size(); ++i) {
+      const double est = *fleet->Estimate(kTenant, drifted[i]);
+      EXPECT_TRUE(fleet->SubmitFeedback(kTenant, drifted[i], est).ok());
+      EXPECT_TRUE(fleet->SubmitFeedback(neighbour, home.queries[i]).ok());
+      EXPECT_TRUE(fleet->Drain().ok());
+    }
+    fleet->Stop();
+    return std::make_pair(Collect(*fleet, kTenant, drifted),
+                          Collect(*fleet, neighbour, home.queries));
+  };
+
+  const auto [reinit1, neighbour1] = run(1);
+  const auto [reinit4, neighbour4] = run(4);
+  EXPECT_GE(reinit1.stats.reinit_triggers, 1u);
+  EXPECT_GE(reinit1.stats.reinit_swaps_completed, 1u);
+  ExpectBitIdentical(reinit1, reinit4);
+  EXPECT_EQ(neighbour1.stats.reinit_triggers, 0u)
+      << "the neighbour has no drift loop";
+
+  std::unique_ptr<STHoles> replay = neighbour_histogram();
+  for (size_t i = 0; i < drifted.size(); ++i) {
+    replay->Refine(home.queries[i], neighbour_oracle);
+  }
+  for (size_t i = 0; i < home.queries.size(); ++i) {
+    const double expected = replay->Estimate(home.queries[i]);
+    EXPECT_TRUE(BitEqual(neighbour1.final_estimates[i], expected))
+        << "1-refiner neighbour diverged from its serial replay, probe " << i;
+    EXPECT_TRUE(BitEqual(neighbour4.final_estimates[i], expected))
+        << "4-refiner neighbour diverged from its serial replay, probe " << i;
   }
 }
 
@@ -402,11 +593,11 @@ TEST(ReinitServiceTest, SynchronousModeIsRunTwiceDeterministic) {
 // swap and leaves a servable histogram.
 TEST(ReinitServiceTest, MineClusRebuildPathSwapsInAServableHistogram) {
   DriftSetup setup = MakeDriftSetup();
-  ServiceConfig config = ReinitServiceConfig(setup);
-  config.reinit.max_buckets = 40;
-  config.reinit.reservoir.age_interval = 64;  // Wash out phase-0 sample fast.
+  TenantOptions options = ReinitTenant(setup);
+  options.reinit.max_buckets = 40;
+  options.reinit.reservoir.age_interval = 64;  // Wash out phase 0 fast.
 
-  RunResult result = ServePhaseOne(setup, config);
+  RunResult result = ServePhaseOne(setup, options);
   EXPECT_GE(result.stats.reinit_triggers, 1u);
   EXPECT_GE(result.stats.reinit_swaps_completed, 1u);
   EXPECT_EQ(result.stats.reinit_swaps_aborted, 0u);
@@ -422,14 +613,14 @@ TEST(ReinitServiceTest, MineClusRebuildPathSwapsInAServableHistogram) {
 // applying afterwards.
 TEST(ReinitServiceTest, FailedRebuildDegradesToTheIncumbent) {
   DriftSetup setup = MakeDriftSetup();
-  ServiceConfig config = ReinitServiceConfig(setup);
+  TenantOptions options = ReinitTenant(setup);
   size_t rebuild_calls = 0;
-  config.reinit.rebuild_override = [&rebuild_calls](const Dataset&, double) {
+  options.reinit.rebuild_override = [&rebuild_calls](const Dataset&, double) {
     ++rebuild_calls;
     return std::unique_ptr<Histogram>();
   };
 
-  RunResult result = ServePhaseOne(setup, config);
+  RunResult result = ServePhaseOne(setup, options);
   EXPECT_GE(rebuild_calls, 1u);
   EXPECT_GE(result.stats.reinit_triggers, 1u);
   EXPECT_EQ(result.stats.reinit_swaps_completed, 0u);
@@ -448,11 +639,11 @@ TEST(ReinitServiceTest, FailedRebuildDegradesToTheIncumbent) {
 // rejects deterministically: abort, incumbent serving.
 TEST(ReinitServiceTest, FaultedRebuildOracleAbortsTheSwap) {
   DriftSetup setup = MakeDriftSetup();
-  ServiceConfig config = ReinitServiceConfig(setup);
-  config.reinit.rebuild_faults.rate = 1.0;
-  config.reinit.rebuild_faults.seed = 5;
+  TenantOptions options = ReinitTenant(setup);
+  options.reinit.rebuild_faults.rate = 1.0;
+  options.reinit.rebuild_faults.seed = 5;
 
-  RunResult result = ServePhaseOne(setup, config);
+  RunResult result = ServePhaseOne(setup, options);
   EXPECT_GE(result.stats.reinit_triggers, 1u);
   EXPECT_EQ(result.stats.reinit_swaps_completed, 0u);
   EXPECT_GE(result.stats.reinit_swaps_aborted, 1u);
@@ -462,164 +653,138 @@ TEST(ReinitServiceTest, FaultedRebuildOracleAbortsTheSwap) {
 }
 
 // Submitting feedback without a captured estimate (the NaN default) must not
-// starve the detector: the service samples its own snapshot at submit time.
+// starve the detector: the tenant samples its own snapshot at submit time.
 TEST(ReinitServiceTest, DefaultSubmitSamplesTheServedSnapshot) {
   DriftSetup setup = MakeDriftSetup();
-  ServiceConfig config = ReinitServiceConfig(setup);
-  setup.oracle->SetPhase(0);
-  HistogramService service(TrainOnPhase(setup, 0, 40), *setup.oracle, config);
+  std::unique_ptr<ServiceFleet> fleet =
+      DriftingFleet(setup, ReinitTenant(setup));
+  EXPECT_TRUE(std::isnan(fleet->tenant_stats(kTenant)->rolling_nae))
+      << "no observation yet";
   for (size_t i = 0; i < 8; ++i) {
-    ASSERT_EQ(service.SubmitFeedback(setup.schedule.phase(0).queries[i]),
-              FeedbackOutcome::kAccepted);
+    ASSERT_EQ(*fleet->SubmitFeedback(kTenant,
+                                     setup.schedule.phase(0).queries[i]),
+              FleetFeedbackOutcome::kAccepted);
   }
-  ASSERT_TRUE(service.Drain().ok());
-  EXPECT_TRUE(std::isfinite(service.stats().rolling_nae))
+  ASSERT_TRUE(fleet->Drain().ok());
+  EXPECT_TRUE(std::isfinite(fleet->tenant_stats(kTenant)->rolling_nae))
       << "the detector observed nothing";
-  service.Stop();
+  fleet->Stop();
 }
 
 // Liveness during a background rebuild: with the builder parked inside the
 // rebuild hook, reads and refinement both make progress, and Drain does not
-// hang. This is the "hot swap never blocks readers" contract.
+// hang. This is the "hot swap never blocks readers" contract. Opening the
+// gate swaps the rebuild in through a pool run the finished builder
+// schedules — nothing polls for it, and no further feedback is needed.
 TEST(ReinitServiceTest, ReadsAndRefinementProgressDuringBackgroundRebuild) {
   DriftSetup setup = MakeDriftSetup();
-  ServiceConfig config = ReinitServiceConfig(setup);
-  config.reinit.background = true;
-
-  std::mutex gate_mutex;
-  std::condition_variable gate_cv;
-  bool builder_entered = false;
-  bool release_builder = false;
+  BuilderGate gate;
   // A valid rebuild result, prepared up front (a root-only histogram would
   // be rejected by the validation gate as no better than trivial).
-  std::unique_ptr<STHoles> rebuilt_reference = TrainOnPhase(setup, 1, 40);
-  const STHoles* rebuilt_raw = rebuilt_reference.get();
-  config.reinit.rebuild_override = [&, rebuilt_raw](const Dataset&, double) {
-    {
-      std::unique_lock<std::mutex> lock(gate_mutex);
-      builder_entered = true;
-      gate_cv.notify_all();
-      gate_cv.wait(lock, [&] { return release_builder; });
-    }
-    return rebuilt_raw->Clone();
-  };
-
-  setup.oracle->SetPhase(0);
-  HistogramService service(TrainOnPhase(setup, 0, 40), *setup.oracle, config);
-  setup.oracle->SetPhase(1);
+  std::unique_ptr<STHoles> reference = TrainOnPhase(setup, 1, 40);
+  std::unique_ptr<ServiceFleet> fleet = DriftingFleet(
+      setup, ParkedRebuildTenant(setup, &gate, reference.get()));
   const Workload& queries = setup.schedule.phase(1).queries;
-
-  // Force the trigger with deliberately garbage served estimates; the
-  // builder then parks inside the override.
-  size_t fed = 0;
-  for (const Box& q : queries) {
-    (void)service.SubmitFeedback(q, 1e7);
-    ++fed;
-    std::unique_lock<std::mutex> lock(gate_mutex);
-    if (builder_entered) break;
-  }
-  {
-    std::unique_lock<std::mutex> lock(gate_mutex);
-    ASSERT_TRUE(gate_cv.wait_for(lock, std::chrono::seconds(10),
-                                 [&] { return builder_entered; }))
-        << "the trigger never started a background rebuild";
-  }
+  const size_t fed = ForceTrigger(setup, *fleet, gate);
 
   // Rebuild in flight, builder parked. Reads must serve...
-  const size_t reads_before = service.stats().reads_served;
+  const size_t reads_before = fleet->stats().reads_served;
   for (int i = 0; i < 2000; ++i) {
     EXPECT_TRUE(
-        std::isfinite(service.Estimate(queries[i % queries.size()])));
+        std::isfinite(*fleet->Estimate(kTenant, queries[i % queries.size()])));
   }
-  EXPECT_GE(service.stats().reads_served, reads_before + 2000);
+  EXPECT_GE(fleet->stats().reads_served, reads_before + 2000);
   // ...refinement must keep applying (Drain returns, not hangs)...
   for (size_t i = 0; i < 32; ++i) {
-    (void)service.SubmitFeedback(queries[(fed + i) % queries.size()], 1e7);
+    (void)fleet->SubmitFeedback(kTenant, queries[(fed + i) % queries.size()],
+                                1e7);
   }
-  ASSERT_TRUE(service.Drain().ok())
+  ASSERT_TRUE(fleet->Drain().ok())
       << "Drain must not be held hostage by an in-flight rebuild";
-  ServiceStats mid = service.stats();
+  TenantStats mid = *fleet->tenant_stats(kTenant);
   EXPECT_EQ(mid.reinit_swaps_completed, 0u) << "builder is still parked";
   EXPECT_GE(mid.reinit_triggers, 1u);
+  const size_t publishes_before = fleet->stats().publishes;
 
-  // ...and releasing the builder completes the swap (Stop finishes it).
-  {
-    std::lock_guard<std::mutex> lock(gate_mutex);
-    release_builder = true;
+  // ...and releasing the builder completes the swap on an idle queue: the
+  // builder's ScheduleShard hands it to a pool worker, which publishes it.
+  gate.Open();
+  for (int spin = 0; spin < 10000; ++spin) {
+    if (fleet->tenant_stats(kTenant)->reinit_swaps_completed > 0 &&
+        fleet->stats().publishes > publishes_before) {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  gate_cv.notify_all();
-  service.Stop();
-  ServiceStats final_stats = service.stats();
+  EXPECT_EQ(fleet->tenant_stats(kTenant)->reinit_swaps_completed, 1u)
+      << "a finished rebuild must swap in without further feedback";
+  EXPECT_GT(fleet->stats().publishes, publishes_before)
+      << "the swap must be published to readers";
+  fleet->Stop();
+  TenantStats final_stats = *fleet->tenant_stats(kTenant);
   EXPECT_EQ(final_stats.reinit_swaps_completed, 1u);
   EXPECT_EQ(final_stats.reinit_swaps_aborted, 0u);
-  EXPECT_TRUE(std::isfinite(service.Estimate(queries.front())));
+  EXPECT_TRUE(std::isfinite(*fleet->Estimate(kTenant, queries.front())));
 }
 
-// Destructor vs. in-flight background rebuild: destroying the service while
+// Destructor vs. in-flight background rebuild: destroying the fleet while
 // the builder thread is parked inside the rebuild hook must join the builder
-// cleanly — the refiner's shutdown path completes the swap (replaying the
-// rebuild window) instead of leaking or detaching the thread. The gate opens
-// from a separate thread only after destruction has begun, so the destructor
-// is provably the one doing the join. Runs under the TSan leg.
+// cleanly — Stop waits for it, and the pool run it schedules completes the
+// swap (replaying the rebuild window) instead of leaking or detaching the
+// thread. The gate opens from a separate thread only after destruction has
+// begun, so the destructor is provably the one waiting. Runs under the TSan
+// leg.
 TEST(ReinitServiceTest, DestructorJoinsParkedBackgroundBuilder) {
   DriftSetup setup = MakeDriftSetup();
-  ServiceConfig config = ReinitServiceConfig(setup);
-  config.reinit.background = true;
-
-  std::mutex gate_mutex;
-  std::condition_variable gate_cv;
-  bool builder_entered = false;
-  bool release_builder = false;
+  BuilderGate gate;
   std::atomic<bool> builder_returned{false};
-  std::unique_ptr<STHoles> rebuilt_reference = TrainOnPhase(setup, 1, 40);
-  const STHoles* rebuilt_raw = rebuilt_reference.get();
-  config.reinit.rebuild_override = [&, rebuilt_raw](const Dataset&, double) {
-    {
-      std::unique_lock<std::mutex> lock(gate_mutex);
-      builder_entered = true;
-      gate_cv.notify_all();
-      gate_cv.wait(lock, [&] { return release_builder; });
-    }
-    builder_returned.store(true);
-    return rebuilt_raw->Clone();
-  };
-
-  setup.oracle->SetPhase(0);
-  auto service = std::make_unique<HistogramService>(TrainOnPhase(setup, 0, 40),
-                                                    *setup.oracle, config);
-  setup.oracle->SetPhase(1);
-  const Workload& queries = setup.schedule.phase(1).queries;
-
-  // Garbage served estimates force the trigger; the builder parks.
-  for (const Box& q : queries) {
-    (void)service->SubmitFeedback(q, 1e7);
-    std::unique_lock<std::mutex> lock(gate_mutex);
-    if (builder_entered) break;
-  }
-  {
-    std::unique_lock<std::mutex> lock(gate_mutex);
-    ASSERT_TRUE(gate_cv.wait_for(lock, std::chrono::seconds(10),
-                                 [&] { return builder_entered; }))
-        << "the trigger never started a background rebuild";
-  }
+  std::unique_ptr<STHoles> reference = TrainOnPhase(setup, 1, 40);
+  std::unique_ptr<ServiceFleet> fleet = DriftingFleet(
+      setup, ParkedRebuildTenant(setup, &gate, reference.get(),
+                                 &builder_returned));
+  ForceTrigger(setup, *fleet, gate);
+  // Nothing left to flush: the destructor goes straight to the builder.
+  ASSERT_TRUE(fleet->Drain().ok());
 
   // Open the gate only after the destructor has had time to reach the
-  // builder join; the service must sit blocked until then, not crash or
+  // builder wait; the fleet must sit blocked until then, not crash or
   // return with the builder still running.
   std::thread releaser([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    {
-      std::lock_guard<std::mutex> lock(gate_mutex);
-      release_builder = true;
-    }
-    gate_cv.notify_all();
+    gate.Open();
   });
 
-  ServiceStats before = service->stats();
-  EXPECT_EQ(before.reinit_swaps_completed, 0u) << "builder is parked";
-  service.reset();  // ~HistogramService -> Stop -> refiner -> builder join.
+  EXPECT_EQ(fleet->tenant_stats(kTenant)->reinit_swaps_completed, 0u)
+      << "builder is parked";
+  fleet.reset();  // ~ServiceFleet -> Stop -> waits out the builder.
   EXPECT_TRUE(builder_returned.load())
       << "destructor returned while the builder was still inside the hook";
+  releaser.join();
+}
+
+// A removed tenant's parked builder is still the fleet's to join: removal
+// drops the tenant from the map, but destroying the fleet must wait for the
+// builder (which holds the shard alive) rather than leak the thread.
+TEST(ReinitServiceTest, RemovedTenantBuilderDoesNotOutliveTheFleet) {
+  DriftSetup setup = MakeDriftSetup();
+  BuilderGate gate;
+  std::atomic<bool> builder_returned{false};
+  std::unique_ptr<STHoles> reference = TrainOnPhase(setup, 1, 40);
+  std::unique_ptr<ServiceFleet> fleet = DriftingFleet(
+      setup, ParkedRebuildTenant(setup, &gate, reference.get(),
+                                 &builder_returned));
+  ForceTrigger(setup, *fleet, gate);
+  ASSERT_TRUE(fleet->Drain().ok());
+  ASSERT_TRUE(fleet->RemoveTenant(kTenant).ok());
+  EXPECT_FALSE(fleet->HasTenant(kTenant));
+
+  std::thread releaser([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    gate.Open();
+  });
+  fleet.reset();
+  EXPECT_TRUE(builder_returned.load())
+      << "destructor returned while a removed tenant's builder was running";
   releaser.join();
 }
 

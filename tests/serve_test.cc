@@ -1,10 +1,10 @@
-// Concurrency battery for the snapshot-isolated serving layer
-// (serve/histogram_service.h). The heavyweight test runs 8 reader threads
-// against a live refiner for >10k reads — the structural race detector for
-// the TSan CI job — and then holds the service to the determinism contract:
-// after draining, the published snapshot's estimates are bitwise-identical
-// (std::bit_cast) to a single-threaded replay of the identical feedback
-// sequence.
+// Concurrency battery for the serving cell (serve/service_fleet.h) driven
+// the way serve-sim drives it: one tenant, one refiner. The heavyweight test
+// runs 8 reader threads against a live refiner for >10k reads — the
+// structural race detector for the TSan CI job — and then holds the cell to
+// the determinism contract: after draining, the published snapshot's
+// estimates are bitwise-identical (std::bit_cast) to a single-threaded
+// replay of the identical feedback sequence.
 
 #include <gtest/gtest.h>
 
@@ -22,7 +22,7 @@
 #include "data/generators.h"
 #include "eval/metrics.h"
 #include "histogram/stholes.h"
-#include "serve/histogram_service.h"
+#include "serve/service_fleet.h"
 #include "workload/query.h"
 #include "workload/workload.h"
 
@@ -68,7 +68,7 @@ std::unique_ptr<STHoles> MakeHistogram(const ServeSetup& setup,
 }
 
 // Replays `feedback` serially onto a fresh histogram and asserts the
-// service's final snapshot matches it bit for bit over the probe workload.
+// cell's final snapshot matches it bit for bit over the probe workload.
 void ExpectBitwiseReplayMatch(const ServeSetup& setup, size_t buckets,
                               const std::vector<Box>& feedback,
                               const Histogram& snapshot) {
@@ -83,84 +83,120 @@ void ExpectBitwiseReplayMatch(const ServeSetup& setup, size_t buckets,
   }
 }
 
+constexpr char kTenant[] = "serve";
+
+// The serving cell's shape: one refiner, a 4096-item queue, 64-item publish
+// batches.
+FleetConfig CellConfig() {
+  FleetConfig config;
+  config.refiners = 1;
+  config.queue_capacity = 4096;
+  return config;
+}
+
+// A fleet serving `hist` as its only tenant.
+std::unique_ptr<ServiceFleet> OneTenant(std::unique_ptr<Histogram> hist,
+                                        const CardinalityOracle& oracle,
+                                        const FleetConfig& config =
+                                            CellConfig()) {
+  auto fleet = std::make_unique<ServiceFleet>(config);
+  EXPECT_TRUE(fleet->AddTenant(kTenant, std::move(hist), oracle).ok());
+  return fleet;
+}
+
+FleetFeedbackOutcome Submit(ServiceFleet& fleet, const Box& query) {
+  StatusOr<FleetFeedbackOutcome> outcome = fleet.SubmitFeedback(kTenant, query);
+  EXPECT_TRUE(outcome.ok());
+  return outcome.ok() ? *outcome : FleetFeedbackOutcome::kStopped;
+}
+
+size_t Staleness(const ServiceFleet& fleet) {
+  return fleet.tenant_stats(kTenant)->staleness;
+}
+
 TEST(ServeTest, InitialSnapshotServesTheSeededHistogram) {
   ServeSetup setup = MakeSetup(800, 20, 30);
   std::unique_ptr<STHoles> hist = MakeHistogram(setup, 30);
   Train(hist.get(), setup.train, *setup.executor);
-  // Reference estimates before the service takes ownership.
+  // Reference estimates before the fleet takes ownership.
   std::vector<double> expected;
   for (const Box& probe : setup.probes) {
     expected.push_back(hist->Estimate(probe));
   }
 
-  HistogramService service(std::move(hist), *setup.executor);
+  std::unique_ptr<ServiceFleet> fleet =
+      OneTenant(std::move(hist), *setup.executor);
   for (size_t i = 0; i < setup.probes.size(); ++i) {
-    EXPECT_TRUE(BitEqual(service.Estimate(setup.probes[i]), expected[i]));
+    EXPECT_TRUE(
+        BitEqual(*fleet->Estimate(kTenant, setup.probes[i]), expected[i]));
   }
-  ServiceStats stats = service.stats();
+  FleetStats stats = fleet->stats();
   EXPECT_EQ(stats.reads_served, setup.probes.size());
-  EXPECT_EQ(stats.snapshot_epoch, 0u);
+  EXPECT_EQ(stats.publishes, 0u);
   EXPECT_EQ(stats.feedback_accepted, 0u);
-  EXPECT_EQ(stats.staleness, 0u);
+  EXPECT_EQ(Staleness(*fleet), 0u);
 }
 
 TEST(ServeTest, DrainMakesEveryAcceptedFeedbackVisible) {
   ServeSetup setup = MakeSetup(800, 60, 30);
-  HistogramService service(MakeHistogram(setup, 40), *setup.executor);
+  std::unique_ptr<ServiceFleet> fleet =
+      OneTenant(MakeHistogram(setup, 40), *setup.executor);
 
   std::vector<Box> accepted;
   for (const Box& q : setup.train) {
-    if (service.SubmitFeedback(q) == FeedbackOutcome::kAccepted) {
+    if (Submit(*fleet, q) == FleetFeedbackOutcome::kAccepted) {
       accepted.push_back(q);
     }
   }
-  EXPECT_TRUE(service.Drain().ok());
+  EXPECT_TRUE(fleet->Drain().ok());
 
-  ServiceStats stats = service.stats();
+  FleetStats stats = fleet->stats();
   EXPECT_EQ(stats.feedback_accepted, accepted.size());
   EXPECT_EQ(stats.feedback_applied, accepted.size());
-  EXPECT_EQ(stats.staleness, 0u);
+  EXPECT_EQ(Staleness(*fleet), 0u);
   EXPECT_EQ(stats.queue_depth, 0u);
-  EXPECT_GT(stats.snapshot_epoch, 0u);
+  EXPECT_GT(stats.publishes, 0u);
 
-  ExpectBitwiseReplayMatch(setup, 40, accepted, *service.snapshot());
+  ExpectBitwiseReplayMatch(setup, 40, accepted, *fleet->Snapshot(kTenant));
 }
 
 TEST(ServeTest, PublishCadenceNeverChangesTheDrainedSnapshot) {
   ServeSetup setup = MakeSetup(600, 50, 25);
   for (size_t publish_batch : {1u, 7u, 64u}) {
-    ServiceConfig config;
+    FleetConfig config = CellConfig();
     config.publish_batch = publish_batch;
-    HistogramService service(MakeHistogram(setup, 30), *setup.executor,
-                             config);
+    std::unique_ptr<ServiceFleet> fleet =
+        OneTenant(MakeHistogram(setup, 30), *setup.executor, config);
     std::vector<Box> accepted;
     for (const Box& q : setup.train) {
-      if (service.SubmitFeedback(q) == FeedbackOutcome::kAccepted) {
+      if (Submit(*fleet, q) == FleetFeedbackOutcome::kAccepted) {
         accepted.push_back(q);
       }
     }
-    service.Stop();
-    ExpectBitwiseReplayMatch(setup, 30, accepted, *service.snapshot());
+    fleet->Stop();
+    ExpectBitwiseReplayMatch(setup, 30, accepted, *fleet->Snapshot(kTenant));
   }
 }
 
 TEST(ServeTest, StopShedsLateFeedbackAndKeepsServing) {
   ServeSetup setup = MakeSetup(600, 20, 20);
-  HistogramService service(MakeHistogram(setup, 30), *setup.executor);
-  for (const Box& q : setup.train) service.SubmitFeedback(q);
-  service.Stop();
-  service.Stop();  // Idempotent.
+  std::unique_ptr<ServiceFleet> fleet =
+      OneTenant(MakeHistogram(setup, 30), *setup.executor);
+  for (const Box& q : setup.train) Submit(*fleet, q);
+  fleet->Stop();
+  fleet->Stop();  // Idempotent.
 
-  EXPECT_EQ(service.SubmitFeedback(setup.train.front()),
-            FeedbackOutcome::kStopped);
-  EXPECT_GE(service.stats().feedback_dropped(), 1u);
-  EXPECT_GE(service.stats().feedback_dropped_stopped, 1u);
-  // A drain on the stopped service must not hang: the horizon was published
+  EXPECT_EQ(Submit(*fleet, setup.train.front()),
+            FleetFeedbackOutcome::kStopped);
+  EXPECT_GE(fleet->stats().feedback_dropped(), 1u);
+  EXPECT_GE(fleet->stats().feedback_dropped_stopped, 1u);
+  // A drain on the stopped fleet must not hang: the horizon was published
   // by Stop, so it reports OK immediately.
-  EXPECT_TRUE(service.Drain().ok());
+  EXPECT_TRUE(fleet->Drain().ok());
   // The final snapshot still answers.
-  double est = service.Estimate(setup.probes.front());
-  EXPECT_TRUE(std::isfinite(est));
+  StatusOr<double> est = fleet->Estimate(kTenant, setup.probes.front());
+  ASSERT_TRUE(est.ok());
+  EXPECT_TRUE(std::isfinite(*est));
 }
 
 // A feedback oracle that parks the refiner inside its first Count call until
@@ -209,39 +245,39 @@ TEST(ServeTest, FullQueueShedsFeedbackInsteadOfBlocking) {
   ServeSetup setup = MakeSetup(400, 20, 10);
   GateOracle gate(*setup.executor);
 
-  ServiceConfig config;
+  FleetConfig config = CellConfig();
   config.queue_capacity = 4;
-  HistogramService service(MakeHistogram(setup, 20), gate, config);
+  std::unique_ptr<ServiceFleet> fleet =
+      OneTenant(MakeHistogram(setup, 20), gate, config);
 
   // First item: the refiner pops it and parks inside the gated oracle.
-  ASSERT_EQ(service.SubmitFeedback(setup.train[0]),
-            FeedbackOutcome::kAccepted);
+  ASSERT_EQ(Submit(*fleet, setup.train[0]), FleetFeedbackOutcome::kAccepted);
   gate.WaitUntilEntered();
 
   // Now the queue fills to capacity, then sheds.
   size_t accepted = 0, shed = 0;
   for (size_t i = 0; i < 8; ++i) {
-    FeedbackOutcome outcome =
-        service.SubmitFeedback(setup.train[i % setup.train.size()]);
-    if (outcome == FeedbackOutcome::kAccepted) {
+    FleetFeedbackOutcome outcome =
+        Submit(*fleet, setup.train[i % setup.train.size()]);
+    if (outcome == FleetFeedbackOutcome::kAccepted) {
       ++accepted;
     } else {
-      EXPECT_EQ(outcome, FeedbackOutcome::kQueueFull)
-          << "a live service sheds only on backpressure";
+      EXPECT_EQ(outcome, FleetFeedbackOutcome::kQueueFull)
+          << "a live cell sheds only on backpressure";
       ++shed;
     }
   }
   EXPECT_EQ(accepted, config.queue_capacity);
   EXPECT_EQ(shed, 8 - config.queue_capacity);
-  EXPECT_EQ(service.stats().feedback_dropped(), shed);
-  EXPECT_EQ(service.stats().feedback_dropped_full, shed);
+  EXPECT_EQ(fleet->stats().feedback_dropped(), shed);
+  EXPECT_EQ(fleet->stats().feedback_dropped_full, shed);
 
   gate.Release();
-  service.Stop();
-  EXPECT_EQ(service.stats().feedback_applied, accepted + 1);
+  fleet->Stop();
+  EXPECT_EQ(fleet->stats().feedback_applied, accepted + 1);
 }
 
-// The battery's centerpiece: 8 reader threads hammer Estimate while the
+// The battery's centerpiece: 8 reader threads hammer the snapshot while the
 // refiner folds in live feedback. Every read must be finite and internally
 // consistent — the indexed estimate bitwise-equal to the linear scan on the
 // *same* snapshot — and the drained end state must equal the serial replay.
@@ -251,7 +287,8 @@ TEST(ServeTest, ConcurrentReadersSeeConsistentSnapshots) {
   constexpr size_t kBuckets = 40;
 
   ServeSetup setup = MakeSetup(800, 250, 40);
-  HistogramService service(MakeHistogram(setup, kBuckets), *setup.executor);
+  std::unique_ptr<ServiceFleet> fleet =
+      OneTenant(MakeHistogram(setup, kBuckets), *setup.executor);
 
   std::atomic<bool> start{false};
   std::atomic<size_t> inconsistent{0};
@@ -265,7 +302,7 @@ TEST(ServeTest, ConcurrentReadersSeeConsistentSnapshots) {
         const Box& q = setup.probes[(r + i) % setup.probes.size()];
         // Pin one snapshot: both paths must agree on it bit for bit even
         // while newer epochs are being published underneath.
-        std::shared_ptr<const Histogram> snap = service.snapshot();
+        std::shared_ptr<const Histogram> snap = fleet->Snapshot(kTenant);
         double indexed = snap->Estimate(q);
         double linear = snap->EstimateLinear(q);
         if (!std::isfinite(indexed) || !std::isfinite(linear)) {
@@ -281,69 +318,70 @@ TEST(ServeTest, ConcurrentReadersSeeConsistentSnapshots) {
   // producer makes the accepted sequence the submission order.
   std::vector<Box> accepted;
   for (const Box& q : setup.train) {
-    if (service.SubmitFeedback(q) == FeedbackOutcome::kAccepted) {
+    if (Submit(*fleet, q) == FleetFeedbackOutcome::kAccepted) {
       accepted.push_back(q);
     }
   }
   for (std::thread& t : readers) t.join();
-  service.Stop();
+  fleet->Stop();
 
   EXPECT_EQ(nonfinite.load(), 0u);
   EXPECT_EQ(inconsistent.load(), 0u);
 
-  ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.feedback_applied, accepted.size());
-  EXPECT_EQ(stats.staleness, 0u);
+  EXPECT_EQ(fleet->stats().feedback_applied, accepted.size());
+  EXPECT_EQ(Staleness(*fleet), 0u);
 
-  ExpectBitwiseReplayMatch(setup, kBuckets, accepted, *service.snapshot());
+  ExpectBitwiseReplayMatch(setup, kBuckets, accepted,
+                           *fleet->Snapshot(kTenant));
 }
 
 TEST(ServeTest, EstimateBatchAnswersFromOneEpoch) {
   ServeSetup setup = MakeSetup(600, 80, 40);
-  HistogramService service(MakeHistogram(setup, 30), *setup.executor);
+  std::unique_ptr<ServiceFleet> fleet =
+      OneTenant(MakeHistogram(setup, 30), *setup.executor);
 
   // Concurrent refinement runs while batches are served; each batch is
   // internally consistent because it holds one snapshot.
   std::thread feeder([&] {
-    for (const Box& q : setup.train) (void)service.SubmitFeedback(q);
+    for (const Box& q : setup.train) (void)fleet->SubmitFeedback(kTenant, q);
   });
   for (int round = 0; round < 30; ++round) {
-    std::vector<double> batch = service.EstimateBatch(setup.probes);
+    std::vector<double> batch = *fleet->EstimateBatch(kTenant, setup.probes);
     ASSERT_EQ(batch.size(), setup.probes.size());
     for (double est : batch) EXPECT_TRUE(std::isfinite(est));
   }
   feeder.join();
-  EXPECT_TRUE(service.Drain().ok());
+  EXPECT_TRUE(fleet->Drain().ok());
 
   // Quiescent: one more batch must match the snapshot exactly.
-  std::shared_ptr<const Histogram> snap = service.snapshot();
-  std::vector<double> batch = service.EstimateBatch(setup.probes);
+  std::shared_ptr<const Histogram> snap = fleet->Snapshot(kTenant);
+  std::vector<double> batch = *fleet->EstimateBatch(kTenant, setup.probes);
   for (size_t i = 0; i < setup.probes.size(); ++i) {
     EXPECT_TRUE(BitEqual(batch[i], snap->Estimate(setup.probes[i])));
   }
-  EXPECT_GE(service.stats().reads_served,
-            31u * setup.probes.size());
+  EXPECT_GE(fleet->stats().reads_served, 31u * setup.probes.size());
 }
 
 TEST(BoundedQueueTest, PushPopAndCloseSemantics) {
   BoundedQueue<int> queue(3);
+  std::vector<int> batch;
+  EXPECT_EQ(queue.TryPopBatch(&batch, 2), 0u) << "empty queue never blocks";
   EXPECT_EQ(queue.TryPush(1), PushResult::kAccepted);
   EXPECT_EQ(queue.TryPush(2), PushResult::kAccepted);
   EXPECT_EQ(queue.TryPush(3), PushResult::kAccepted);
   EXPECT_EQ(queue.TryPush(4), PushResult::kFull) << "capacity reached";
   EXPECT_EQ(queue.size(), 3u);
 
-  std::vector<int> batch;
-  EXPECT_EQ(queue.PopBatch(&batch, 2), 2u);
+  EXPECT_EQ(queue.TryPopBatch(&batch, 2), 2u);
   EXPECT_EQ(batch, (std::vector<int>{1, 2}));
   EXPECT_EQ(queue.TryPush(4), PushResult::kAccepted);
 
   queue.Close();
   EXPECT_EQ(queue.TryPush(5), PushResult::kClosed)
       << "closed queue refuses items";
-  EXPECT_EQ(queue.PopBatch(&batch, 10), 2u) << "drains the remainder";
+  EXPECT_EQ(queue.TryPopBatch(&batch, 10), 2u) << "drains the remainder";
   EXPECT_EQ(batch, (std::vector<int>{3, 4}));
-  EXPECT_EQ(queue.PopBatch(&batch, 10), 0u) << "terminal signal";
+  EXPECT_EQ(queue.TryPopBatch(&batch, 10), 0u) << "closed and drained";
 }
 
 TEST(BoundedQueueTest, ManyProducersOneConsumerLosesNothing) {
@@ -352,6 +390,7 @@ TEST(BoundedQueueTest, ManyProducersOneConsumerLosesNothing) {
   BoundedQueue<size_t> queue(64);
 
   std::atomic<size_t> accepted{0};
+  std::atomic<bool> producers_done{false};
   std::vector<std::thread> producers;
   for (size_t p = 0; p < kProducers; ++p) {
     producers.emplace_back([&, p] {
@@ -363,14 +402,24 @@ TEST(BoundedQueueTest, ManyProducersOneConsumerLosesNothing) {
     });
   }
 
+  // A polling consumer, like a pool worker: it stops only once the
+  // producers are done and a pop after that finds the queue empty.
   size_t consumed = 0;
   std::thread consumer([&] {
     std::vector<size_t> batch;
-    while (queue.PopBatch(&batch, 32) > 0) consumed += batch.size();
+    for (;;) {
+      const bool done = producers_done.load();
+      const size_t n = queue.TryPopBatch(&batch, 32);
+      consumed += n;
+      if (n == 0) {
+        if (done) break;
+        std::this_thread::yield();
+      }
+    }
   });
 
   for (std::thread& t : producers) t.join();
-  queue.Close();
+  producers_done.store(true);
   consumer.join();
   EXPECT_EQ(consumed, accepted.load());
 }

@@ -46,7 +46,6 @@
 #include "histogram/trivial.h"
 #include "init/initializer.h"
 #include "obs/metrics.h"
-#include "serve/histogram_service.h"
 #include "serve/service_fleet.h"
 #include "serve/snapshot_io.h"
 #include "testing/fault_injection.h"
@@ -610,8 +609,8 @@ Status RunSnapshotSave(const Flags& flags) {
 }
 
 // `snapshot load` / `snapshot verify`: decode a snapshot file through every
-// layer it contains, dispatching on the magic ("STHB" histogram blob, "STHS"
-// service container, "STHF" fleet container). Any framing or payload
+// layer it contains, dispatching on the magic ("STHB"/"STHK" histogram blob,
+// "STHF" serving container). Any framing or payload
 // violation surfaces as the decoder's Status (exit 1) — this is the
 // command-line face of the fail-closed contract the fuzz tests hold. load
 // prints a table of the contents; verify prints one OK line for scripts.
@@ -657,36 +656,14 @@ Status RunSnapshotLoad(const Flags& flags, bool verify_only) {
     table.AddRow({"buckets", FormatSize((*hist)->bucket_count())});
     table.AddRow({"file bytes", FormatSize(bytes->size())});
     table.Print();
-  } else if (kind == "STHS") {
-    StatusOr<snapshot_io::ServiceSnapshot> snap =
-        snapshot_io::DecodeServiceSnapshot(*bytes);
-    if (!snap.ok()) return snap.status();
-    StatusOr<std::unique_ptr<Histogram>> hist =
-        RestoreHistogram(snap->histogram, hc);
-    if (!hist.ok()) return hist.status();
-    if (verify_only) {
-      std::printf(
-          "snapshot OK: service (%s), %zu buckets, %llu feedback applied, "
-          "digest %016llx\n",
-          snap->estimator.c_str(), (*hist)->bucket_count(),
-          static_cast<unsigned long long>(snap->applied_feedback),
-          file_digest);
-      return Status::Ok();
-    }
-    TablePrinter table({"field", "value"});
-    table.AddRow({"kind", "service (STHS)"});
-    table.AddRow({"estimator", snap->estimator});
-    table.AddRow({"buckets", FormatSize((*hist)->bucket_count())});
-    table.AddRow({"feedback applied",
-                  FormatSize(static_cast<size_t>(snap->applied_feedback))});
-    table.AddRow({"file bytes", FormatSize(bytes->size())});
-    table.Print();
   } else if (kind == "STHF") {
     StatusOr<snapshot_io::FleetSnapshot> snap =
         snapshot_io::DecodeFleetSnapshot(*bytes);
     if (!snap.ok()) return snap.status();
     size_t total_buckets = 0;
+    uint64_t total_feedback = 0;
     for (const snapshot_io::FleetTenant& tenant : snap->tenants) {
+      total_feedback += tenant.applied_feedback;
       StatusOr<std::unique_ptr<Histogram>> hist =
           RestoreHistogram(tenant.histogram, hc);
       if (!hist.ok()) {
@@ -697,14 +674,18 @@ Status RunSnapshotLoad(const Flags& flags, bool verify_only) {
     }
     if (verify_only) {
       std::printf(
-          "snapshot OK: fleet, %zu tenants, %zu buckets, digest %016llx\n",
-          snap->tenants.size(), total_buckets, file_digest);
+          "snapshot OK: fleet, %zu tenants, %zu buckets, %llu feedback "
+          "applied, digest %016llx\n",
+          snap->tenants.size(), total_buckets,
+          static_cast<unsigned long long>(total_feedback), file_digest);
       return Status::Ok();
     }
     TablePrinter table({"field", "value"});
     table.AddRow({"kind", "fleet (STHF)"});
     table.AddRow({"tenants", FormatSize(snap->tenants.size())});
     table.AddRow({"total buckets", FormatSize(total_buckets)});
+    table.AddRow({"feedback applied",
+                  FormatSize(static_cast<size_t>(total_feedback))});
     table.AddRow({"seed", FormatSize(static_cast<size_t>(snap->seed))});
     table.AddRow({"file bytes", FormatSize(bytes->size())});
     table.Print();
@@ -717,13 +698,33 @@ Status RunSnapshotLoad(const Flags& flags, bool verify_only) {
   return Status::Ok();
 }
 
+// serve-sim's serving cell: a one-tenant ServiceFleet under kServeTenant
+// with one refiner, a 4096-item queue and 64-item publish batches unless
+// --queue-cap / --publish-batch say otherwise. Its counters land in the
+// process-wide registry, so the final /metrics dump is one document.
+constexpr char kServeTenant[] = "serve";
+
+StatusOr<FleetConfig> ServeFleetConfig(const Flags& flags) {
+  FleetConfig fc;
+  fc.refiners = 1;
+  fc.queue_capacity = flags.Size("queue-cap", 4096);
+  fc.publish_batch = flags.Size("publish-batch", fc.publish_batch);
+  if (fc.queue_capacity == 0 || fc.publish_batch == 0) {
+    return Status::InvalidArgument(
+        "--queue-cap and --publish-batch must be > 0");
+  }
+  fc.metrics = obs::GlobalMetrics();
+  return fc;
+}
+
 // Drift-mode serving simulation (`serve-sim --drift <scenario>`): a
 // deterministic replay driver streams a DriftSchedule's phases through the
-// service (estimate, then feedback) while optional read-only probe threads
-// hammer the published snapshot, and — unless --no-reinit — the stagnation
-// detector + reservoir re-initialization recover from the drift online
-// (DESIGN.md §14). The driver Drains at phase boundaries and on queue-full,
-// so the run is replayable: same flags, same trigger/swap sequence.
+// serving cell (estimate, then feedback) while optional read-only probe
+// threads hammer the published snapshot, and — unless --no-reinit — the
+// stagnation detector + reservoir re-initialization recover from the drift
+// online (DESIGN.md §14). The driver Drains at phase boundaries and on
+// queue-full, so the run is replayable: same flags, same trigger/swap
+// sequence.
 Status RunServeSimDrift(const Flags& flags) {
   StatusOr<DriftScenario> scenario =
       ParseDriftScenario(flags.Str("drift", "cross-move"));
@@ -751,7 +752,7 @@ Status RunServeSimDrift(const Flags& flags) {
   PhasedOracle oracle(*schedule);
   const Box& domain = schedule->domain();
 
-  // The service starts on a histogram trained for phase 0 (with --init, the
+  // The tenant starts on a histogram trained for phase 0 (with --init, the
   // paper's MineClus-seeded initialization over the phase-0 snapshot), so
   // the drift — not a cold start — is what degrades it.
   STHolesConfig hc;
@@ -772,17 +773,12 @@ Status RunServeSimDrift(const Flags& flags) {
   if (!train.ok()) return train.status();
   for (const Box& q : *train) hist->Refine(q, oracle);
 
-  ServiceConfig sc;
-  sc.queue_capacity = flags.Size("queue-cap", sc.queue_capacity);
-  sc.publish_batch = flags.Size("publish-batch", sc.publish_batch);
-  if (sc.queue_capacity == 0 || sc.publish_batch == 0) {
-    return Status::InvalidArgument(
-        "--queue-cap and --publish-batch must be > 0");
-  }
-  sc.metrics = obs::GlobalMetrics();
-  sc.faults = FaultsFromFlags(flags);
+  StatusOr<FleetConfig> fc = ServeFleetConfig(flags);
+  if (!fc.ok()) return fc.status();
+  fc->faults = FaultsFromFlags(flags);
 
-  ReinitConfig& reinit = sc.reinit;
+  TenantOptions options;
+  ReinitConfig& reinit = options.reinit;
   reinit.enabled = !flags.Has("no-reinit");
   reinit.domain = domain;
   reinit.detector.window = flags.Size("reinit-window", 128);
@@ -801,13 +797,9 @@ Status RunServeSimDrift(const Flags& flags) {
   reinit.rebuild_faults.rate = flags.Num("fault-reinit-rate", 0.0);
   reinit.rebuild_faults.seed =
       static_cast<uint64_t>(flags.Num("fault-reinit-seed", 99));
-  if (reinit.enabled) {
-    // Validate before construction: the service CHECK-aborts on bad knobs,
-    // the CLI reports them.
-    STHIST_RETURN_IF_ERROR(Validate(reinit.detector));
-    STHIST_RETURN_IF_ERROR(Validate(reinit.reservoir));
-  }
-  HistogramService service(std::move(hist), oracle, sc);
+  ServiceFleet fleet(*fc);
+  STHIST_RETURN_IF_ERROR(
+      fleet.AddTenant(kServeTenant, std::move(hist), oracle, options));
 
   // Read-only probe threads: they measure that the snapshot stays servable
   // through rebuilds but never submit feedback, so they cannot perturb the
@@ -822,7 +814,8 @@ Status RunServeSimDrift(const Flags& flags) {
       const Workload& queries = schedule->phase(0).queries;
       double local = 0.0;
       for (size_t i = 0; !probes_stop.load(std::memory_order_relaxed); ++i) {
-        local += service.Estimate(queries[(r * 31 + i) % queries.size()]);
+        local += *fleet.Estimate(kServeTenant,
+                                 queries[(r * 31 + i) % queries.size()]);
       }
       sink.fetch_add(local);
     });
@@ -836,15 +829,13 @@ Status RunServeSimDrift(const Flags& flags) {
   // come from the previous phase's histogram no matter how well re-init
   // works; draining at a bounded cadence emulates a production arrival rate
   // the refiner can keep up with, without giving up replayability.
-  const size_t pace = std::max<size_t>(flags.Size("pace", sc.publish_batch),
+  const size_t pace = std::max<size_t>(flags.Size("pace", fc->publish_batch),
                                        1);
   struct PhaseRow {
     double mae = 0.0;
     double trivial_mae = 0.0;
     size_t queries = 0;
-    size_t triggers = 0;
-    size_t swaps = 0;
-    double rolling_nae = 0.0;
+    TenantStats at_end;
   };
   std::vector<PhaseRow> rows(schedule->phase_count());
   auto t0 = std::chrono::steady_clock::now();
@@ -854,32 +845,30 @@ Status RunServeSimDrift(const Flags& flags) {
     TrivialHistogram trivial(domain, oracle.Count(domain));
     PhaseRow& row = rows[p];
     for (const Box& q : schedule->phase(p).queries) {
-      const double est = service.Estimate(q);
+      const double est = *fleet.Estimate(kServeTenant, q);
       const double actual = oracle.Count(q);
       row.mae += std::abs(est - actual);
       row.trivial_mae += std::abs(trivial.Estimate(q) - actual);
       ++row.queries;
-      if (service.SubmitFeedback(q, est) == FeedbackOutcome::kQueueFull) {
-        STHIST_RETURN_IF_ERROR(service.Drain());
-        (void)service.SubmitFeedback(q, est);
+      if (*fleet.SubmitFeedback(kServeTenant, q, est) ==
+          FleetFeedbackOutcome::kQueueFull) {
+        STHIST_RETURN_IF_ERROR(fleet.Drain());
+        (void)fleet.SubmitFeedback(kServeTenant, q, est);
       }
       if (++since_drain >= pace) {
         since_drain = 0;
-        STHIST_RETURN_IF_ERROR(service.Drain());
+        STHIST_RETURN_IF_ERROR(fleet.Drain());
       }
     }
-    STHIST_RETURN_IF_ERROR(service.Drain());
-    ServiceStats at_phase_end = service.stats();
-    row.triggers = at_phase_end.reinit_triggers;
-    row.swaps = at_phase_end.reinit_swaps_completed;
-    row.rolling_nae = at_phase_end.rolling_nae;
+    STHIST_RETURN_IF_ERROR(fleet.Drain());
+    row.at_end = *fleet.tenant_stats(kServeTenant);
   }
   double drive_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
   probes_stop.store(true);
   for (std::thread& t : probes) t.join();
-  service.Stop();
+  fleet.Stop();
 
   std::printf("drift scenario: %s (%zu phases, %zu queries/phase)\n",
               DriftScenarioName(schedule->scenario()),
@@ -893,45 +882,48 @@ Status RunServeSimDrift(const Flags& flags) {
         row.trivial_mae > 0.0 ? row.mae / row.trivial_mae : 0.0;
     phases.AddRow({FormatSize(p), FormatSize(row.queries),
                    FormatDouble(row.mae / n, 1), FormatDouble(nae, 4),
-                   FormatDouble(row.rolling_nae, 4), FormatSize(row.triggers),
-                   FormatSize(row.swaps)});
+                   FormatDouble(row.at_end.rolling_nae, 4),
+                   FormatSize(row.at_end.reinit_triggers),
+                   FormatSize(row.at_end.reinit_swaps_completed)});
   }
   phases.Print();
 
-  ServiceStats stats = service.stats();
+  const FleetStats stats = fleet.stats();
+  const TenantStats tenant = *fleet.tenant_stats(kServeTenant);
   TablePrinter table({"metric", "value"});
   table.AddRow({"probe readers", FormatSize(readers)});
   table.AddRow({"reads served", FormatSize(stats.reads_served)});
   table.AddRow({"feedback accepted", FormatSize(stats.feedback_accepted)});
   table.AddRow({"feedback dropped", FormatSize(stats.feedback_dropped())});
   table.AddRow({"feedback applied", FormatSize(stats.feedback_applied)});
-  table.AddRow({"snapshot epoch", FormatSize(stats.snapshot_epoch)});
-  table.AddRow({"reinit triggers", FormatSize(stats.reinit_triggers)});
-  table.AddRow({"swaps completed", FormatSize(stats.reinit_swaps_completed)});
-  table.AddRow({"swaps aborted", FormatSize(stats.reinit_swaps_aborted)});
-  table.AddRow({"replayed feedback", FormatSize(stats.reinit_replayed)});
-  table.AddRow({"reservoir size", FormatSize(stats.reservoir_size)});
-  table.AddRow({"rolling NAE", FormatDouble(stats.rolling_nae, 4)});
+  table.AddRow({"snapshot epoch", FormatSize(stats.publishes)});
+  table.AddRow({"reinit triggers", FormatSize(tenant.reinit_triggers)});
+  table.AddRow(
+      {"swaps completed", FormatSize(tenant.reinit_swaps_completed)});
+  table.AddRow({"swaps aborted", FormatSize(tenant.reinit_swaps_aborted)});
+  table.AddRow({"replayed feedback", FormatSize(tenant.reinit_replayed)});
+  table.AddRow({"reservoir size", FormatSize(tenant.reservoir_size)});
+  table.AddRow({"rolling NAE", FormatDouble(tenant.rolling_nae, 4)});
   table.AddRow({"drive s", FormatDouble(drive_seconds, 2)});
   table.Print();
 
-  const Histogram& snapshot = *service.snapshot();
+  std::shared_ptr<const Histogram> snapshot = fleet.Snapshot(kServeTenant);
   std::printf("final snapshot: %zu buckets, robustness events %zu\n",
-              snapshot.bucket_count(), snapshot.robustness().total());
+              snapshot->bucket_count(), snapshot->robustness().total());
   std::printf("--- metrics ---\n%s", obs::GlobalMetrics()->ToText().c_str());
   return Status::Ok();
 }
 
 // Deterministic serve-sim replay (`serve-sim --pace P`, `--snapshot FILE`,
 // `--snapshot-every N`, `--restore FILE`): a single driver thread streams the
-// simulation workload through the service in FIFO order, draining every
+// simulation workload through the serving cell in FIFO order, draining every
 // `pace` submissions, so the final snapshot — and the "serve digest" printed
 // at the end — is a pure function of the flags. `--snapshot-every N` cuts a
-// Drain-barriered STHS snapshot every N queries; `--restore FILE` starts
-// from such a snapshot instead of pre-training and skips the queries its
-// watermark says were already applied. Because refinement consumes only the
-// executed queries (never the served estimates), a restored run replays to
-// the bit-identical digest of the uninterrupted run — the warm-restart
+// Drain-barriered one-tenant STHF snapshot every N queries; `--restore FILE`
+// starts from such a snapshot instead of pre-training and skips the queries
+// its watermark says were already applied. Because refinement consumes only
+// the executed queries (never the served estimates), a restored run replays
+// to the bit-identical digest of the uninterrupted run — the warm-restart
 // contract CI's crash-recovery smoke and tests/snapshot_persist_test.cc
 // hold. The restored run must use the same dataset/workload/bucket flags as
 // the saved one; only --restore and the snapshot flags may differ.
@@ -953,21 +945,28 @@ Status RunServeSimReplay(const Flags& flags) {
     const std::string from = flags.Str("restore", "");
     StatusOr<std::string> bytes = snapshot_io::ReadFile(from);
     if (!bytes.ok()) return bytes.status();
-    StatusOr<snapshot_io::ServiceSnapshot> snap =
-        snapshot_io::DecodeServiceSnapshot(*bytes);
+    StatusOr<snapshot_io::FleetSnapshot> snap =
+        snapshot_io::DecodeFleetSnapshot(*bytes);
     if (!snap.ok()) return snap.status();
+    if (snap->tenants.size() != 1) {
+      return StatusF(StatusCode::kInvalidArgument,
+                     "%s holds %zu tenants; serve-sim restores a one-tenant "
+                     "snapshot",
+                     from.c_str(), snap->tenants.size());
+    }
+    const snapshot_io::FleetTenant& tenant = snap->tenants.front();
     // Registry dispatch on the blob's own magic: the replay restores
     // whichever estimator family the snapshot was saved from.
     HistogramConfig rc;
     rc.buckets = hc.max_buckets;
     StatusOr<std::unique_ptr<Histogram>> restored =
-        RestoreHistogram(snap->histogram, rc);
+        RestoreHistogram(tenant.histogram, rc);
     if (!restored.ok()) return restored.status();
     hist = *std::move(restored);
-    skip = static_cast<size_t>(snap->applied_feedback);
+    skip = static_cast<size_t>(tenant.applied_feedback);
     std::fprintf(stderr,
                  "restored %s (%s): %zu buckets, resuming after %zu queries\n",
-                 from.c_str(), snap->estimator.c_str(), hist->bucket_count(),
+                 from.c_str(), tenant.estimator.c_str(), hist->bucket_count(),
                  skip);
   } else {
     hist = std::make_unique<STHoles>(experiment.domain(),
@@ -997,16 +996,13 @@ Status RunServeSimReplay(const Flags& flags) {
                    skip, sim.size());
   }
 
-  ServiceConfig sc;
-  sc.queue_capacity = flags.Size("queue-cap", sc.queue_capacity);
-  sc.publish_batch = flags.Size("publish-batch", sc.publish_batch);
-  if (sc.queue_capacity == 0 || sc.publish_batch == 0) {
-    return Status::InvalidArgument(
-        "--queue-cap and --publish-batch must be > 0");
-  }
-  sc.restored_feedback = skip;
-  sc.metrics = obs::GlobalMetrics();
-  HistogramService service(std::move(hist), experiment.executor(), sc);
+  StatusOr<FleetConfig> fc = ServeFleetConfig(flags);
+  if (!fc.ok()) return fc.status();
+  ServiceFleet fleet(*fc);
+  TenantOptions options;
+  options.restored_feedback = skip;
+  STHIST_RETURN_IF_ERROR(fleet.AddTenant(kServeTenant, std::move(hist),
+                                         experiment.executor(), options));
 
   const size_t pace = std::max<size_t>(flags.Size("pace", 1), 1);
   const size_t snapshot_every = flags.Size("snapshot-every", 0);
@@ -1020,38 +1016,39 @@ Status RunServeSimReplay(const Flags& flags) {
   size_t saves = 0;
   for (size_t i = skip; i < sim.size(); ++i) {
     const Box& q = sim[i];
-    sink += service.Estimate(q);
-    if (service.SubmitFeedback(q) == FeedbackOutcome::kQueueFull) {
+    sink += *fleet.Estimate(kServeTenant, q);
+    if (*fleet.SubmitFeedback(kServeTenant, q) ==
+        FleetFeedbackOutcome::kQueueFull) {
       // Drain-and-resubmit instead of shedding: the replay must apply every
       // query or the watermark would no longer count queries.
-      STHIST_RETURN_IF_ERROR(service.Drain());
-      (void)service.SubmitFeedback(q);
+      STHIST_RETURN_IF_ERROR(fleet.Drain());
+      (void)fleet.SubmitFeedback(kServeTenant, q);
     }
     if ((i + 1 - skip) % pace == 0) {
-      STHIST_RETURN_IF_ERROR(service.Drain());
+      STHIST_RETURN_IF_ERROR(fleet.Drain());
     }
     if (snapshot_every > 0 && (i + 1) % snapshot_every == 0) {
-      STHIST_RETURN_IF_ERROR(service.Drain());
-      STHIST_RETURN_IF_ERROR(service.SaveSnapshot(snapshot_path));
+      STHIST_RETURN_IF_ERROR(fleet.Drain());
+      STHIST_RETURN_IF_ERROR(fleet.SaveSnapshot(snapshot_path));
       ++saves;
     }
   }
-  STHIST_RETURN_IF_ERROR(service.Drain());
+  STHIST_RETURN_IF_ERROR(fleet.Drain());
   if (flags.Has("snapshot")) {
-    STHIST_RETURN_IF_ERROR(service.SaveSnapshot(snapshot_path));
+    STHIST_RETURN_IF_ERROR(fleet.SaveSnapshot(snapshot_path));
     ++saves;
   }
   double drive_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  service.Stop();
+  fleet.Stop();
 
-  ServiceStats stats = service.stats();
+  const FleetStats stats = fleet.stats();
   TablePrinter table({"metric", "value"});
   table.AddRow({"queries replayed", FormatSize(sim.size() - skip)});
   table.AddRow({"queries skipped", FormatSize(skip)});
   table.AddRow({"feedback applied", FormatSize(stats.feedback_applied)});
-  table.AddRow({"snapshot epoch", FormatSize(stats.snapshot_epoch)});
+  table.AddRow({"snapshot epoch", FormatSize(stats.publishes)});
   table.AddRow({"snapshot saves", FormatSize(saves)});
   table.AddRow({"drive s", FormatDouble(drive_seconds, 2)});
   table.Print();
@@ -1059,7 +1056,7 @@ Status RunServeSimReplay(const Flags& flags) {
   // The determinism digest: FNV-1a over the final snapshot's estimates on
   // the full simulation workload (skipped prefix included, so interrupted
   // and uninterrupted runs fold the same probes).
-  std::shared_ptr<const Histogram> snapshot = service.snapshot();
+  std::shared_ptr<const Histogram> snapshot = fleet.Snapshot(kServeTenant);
   uint64_t digest = kDigestSeed;
   for (const Box& probe : sim) {
     FoldDigest(std::bit_cast<uint64_t>(snapshot->Estimate(probe)), &digest);
@@ -1073,8 +1070,8 @@ Status RunServeSimReplay(const Flags& flags) {
 
 // Simulates production serving: R reader threads issue estimates against
 // the published snapshot while every executed query's feedback streams back
-// through the service's bounded queue into the single refiner. Prints the
-// ServiceStats counters plus read throughput.
+// through the serving cell's bounded queue into its single refiner. Prints
+// the fleet and tenant counters plus read throughput.
 Status RunServeSim(const Flags& flags) {
   STHIST_RETURN_IF_ERROR(flags.CheckAllowed(
       {STHIST_COMMON_FLAGS, STHIST_DATASET_FLAGS, STHIST_CLUSTER_FLAGS,
@@ -1097,7 +1094,7 @@ Status RunServeSim(const Flags& flags) {
     return Status::InvalidArgument("--readers and --queries must be > 0");
   }
 
-  // Pre-train the histogram the service starts from.
+  // Pre-train the histogram the tenant starts from.
   STHolesConfig hc;
   hc.max_buckets = flags.Size("buckets", 100);
   auto hist = std::make_unique<STHoles>(experiment.domain(),
@@ -1114,27 +1111,21 @@ Status RunServeSim(const Flags& flags) {
   auto [train, sim] = experiment.MakeWorkloads(wc_config);
   for (const Box& q : train) hist->Refine(q, experiment.executor());
 
-  ServiceConfig sc;
-  sc.queue_capacity = flags.Size("queue-cap", sc.queue_capacity);
-  sc.publish_batch = flags.Size("publish-batch", sc.publish_batch);
+  StatusOr<FleetConfig> fc = ServeFleetConfig(flags);
+  if (!fc.ok()) return fc.status();
   // Batched estimation threads for the final pass below. Defaults to a
   // small pool (not hardware concurrency) so the pool layer shows up in the
   // metrics dump even on a single-core box; results are bitwise-identical
   // at any value, so oversubscription only costs wall clock. --batch N
   // overrides; --batch 0 (or bare --batch) = hardware concurrency.
-  sc.estimate_threads = flags.Has("batch") ? flags.Size("batch", 0) : 4;
-  if (sc.queue_capacity == 0 || sc.publish_batch == 0) {
-    return Status::InvalidArgument(
-        "--queue-cap and --publish-batch must be > 0");
-  }
+  fc->estimate_threads = flags.Has("batch") ? flags.Size("batch", 0) : 4;
   // --fault-* applies to the serving loop too: the refiner's oracle answers
-  // (detector observations and Refine feedback counts) flow through a
-  // deterministic FaultyOracle. Readers never consult the oracle.
-  sc.faults = FaultsFromFlags(flags);
-  // The service's serve.service.* counters land in the same process-wide
-  // registry as everything else, so the final /metrics dump is one document.
-  sc.metrics = obs::GlobalMetrics();
-  HistogramService service(std::move(hist), experiment.executor(), sc);
+  // flow through a deterministic FaultyOracle. Readers never consult the
+  // oracle.
+  fc->faults = FaultsFromFlags(flags);
+  ServiceFleet fleet(*fc);
+  STHIST_RETURN_IF_ERROR(
+      fleet.AddTenant(kServeTenant, std::move(hist), experiment.executor()));
 
   // Readers: estimate, then feed the executed query back — the full online
   // loop, except reads never wait for the refiner.
@@ -1149,8 +1140,8 @@ Status RunServeSim(const Flags& flags) {
       double local = 0.0;
       for (size_t i = 0; i < per_reader; ++i) {
         const Box& q = sim[(r * 17 + i) % sim.size()];
-        local += service.Estimate(q);
-        (void)service.SubmitFeedback(q);
+        local += *fleet.Estimate(kServeTenant, q);
+        (void)fleet.SubmitFeedback(kServeTenant, q);
       }
       sink.fetch_add(local);
     });
@@ -1161,7 +1152,7 @@ Status RunServeSim(const Flags& flags) {
   double read_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  service.Stop();  // Drain the backlog and publish the final snapshot.
+  fleet.Stop();  // Drain the backlog and publish the final snapshot.
   double total_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
@@ -1169,11 +1160,21 @@ Status RunServeSim(const Flags& flags) {
   // One batched pass over the simulation workload against the final
   // snapshot: exercises the EstimateBatch fan-out (and with it the thread
   // pool) on the exact histogram the readers ended on.
-  std::vector<double> batched = service.EstimateBatch(sim);
+  std::vector<double> batched = *fleet.EstimateBatch(kServeTenant, sim);
   double batched_sum = 0.0;
   for (double est : batched) batched_sum += est;
 
-  ServiceStats stats = service.stats();
+  const FleetStats stats = fleet.stats();
+  const TenantStats tenant = *fleet.tenant_stats(kServeTenant);
+  double publish_max = 0.0;
+  double publish_mean = 0.0;
+  for (const auto& latency : obs::GlobalMetrics()->Snapshot().latencies) {
+    if (latency.name == "serve.fleet.publish_seconds" && latency.count > 0) {
+      publish_max = latency.max_seconds;
+      publish_mean =
+          latency.sum_seconds / static_cast<double>(latency.count);
+    }
+  }
   TablePrinter table({"metric", "value"});
   table.AddRow({"reader threads", FormatSize(readers)});
   table.AddRow({"reads served", FormatSize(stats.reads_served)});
@@ -1184,12 +1185,10 @@ Status RunServeSim(const Flags& flags) {
   table.AddRow({"feedback accepted", FormatSize(stats.feedback_accepted)});
   table.AddRow({"feedback dropped", FormatSize(stats.feedback_dropped())});
   table.AddRow({"feedback applied", FormatSize(stats.feedback_applied)});
-  table.AddRow({"snapshot epoch", FormatSize(stats.snapshot_epoch)});
-  table.AddRow({"final staleness", FormatSize(stats.staleness)});
-  table.AddRow({"last publish ms",
-                FormatDouble(stats.last_publish_seconds * 1e3, 2)});
-  table.AddRow({"max publish ms",
-                FormatDouble(stats.max_publish_seconds * 1e3, 2)});
+  table.AddRow({"snapshot epoch", FormatSize(stats.publishes)});
+  table.AddRow({"final staleness", FormatSize(tenant.staleness)});
+  table.AddRow({"mean publish ms", FormatDouble(publish_mean * 1e3, 2)});
+  table.AddRow({"max publish ms", FormatDouble(publish_max * 1e3, 2)});
   table.AddRow({"drain+total s", FormatDouble(total_seconds, 2)});
   table.AddRow({"batched queries", FormatSize(batched.size())});
   table.AddRow({"batched mean est",
@@ -1200,9 +1199,9 @@ Status RunServeSim(const Flags& flags) {
                              1)});
   table.Print();
 
-  const Histogram& snapshot = *service.snapshot();
+  std::shared_ptr<const Histogram> snapshot = fleet.Snapshot(kServeTenant);
   std::printf("final snapshot: %zu buckets, robustness events %zu\n",
-              snapshot.bucket_count(), snapshot.robustness().total());
+              snapshot->bucket_count(), snapshot->robustness().total());
 
   // The /metrics-style dump: every layer the simulation touched, one line
   // per metric (DESIGN.md §13).
@@ -1296,8 +1295,10 @@ Status RunFleetSim(const Flags& flags) {
     STHolesConfig hc;
     hc.max_buckets = buckets;
     std::unique_ptr<Histogram> hist;
+    TenantOptions options;
     if (restoring) {
       const snapshot_io::FleetTenant& tenant = restored.tenants[t];
+      options.restored_feedback = static_cast<size_t>(tenant.applied_feedback);
       const std::string& key = tenant.key;
       keys.push_back(key);
       const size_t underscore = key.rfind('_');
@@ -1328,7 +1329,7 @@ Status RunFleetSim(const Flags& flags) {
     }
     Variant& v = *variants[variant_index % variants.size()];
     STHIST_RETURN_IF_ERROR(
-        fleet.AddTenant(keys.back(), std::move(hist), *v.executor));
+        fleet.AddTenant(keys.back(), std::move(hist), *v.executor, options));
     // Each tenant's feedback stream is seeded from its fleet identity:
     // pure in (--seed, key), so the streams — and with --pace 1 the final
     // snapshots — replay bit-identically at any --refiners.
@@ -1474,8 +1475,8 @@ void PrintUsage() {
       "                      + inspect's training flags\n"
       "              load:   decode a .snap file and print its contents\n"
       "              verify: decode, fail closed on any corruption\n"
-      "                      --in file.snap (histogram, service, or fleet\n"
-      "                      snapshots are auto-detected by magic)\n"
+      "                      --in file.snap (histogram or fleet snapshots\n"
+      "                      are auto-detected by magic)\n"
       "  serve-sim   concurrent serving simulation: reader threads estimate\n"
       "              against published snapshots while the refiner drains\n"
       "              their feedback; ends with a /metrics-style dump\n"
