@@ -14,6 +14,7 @@
 #include <tuple>
 #include <vector>
 
+#include "core/binfmt.h"
 #include "core/box.h"
 #include "core/rng.h"
 #include "core/simd.h"
@@ -276,6 +277,70 @@ TEST(IsomerDifferentialTest, ConstEstimationDoesNotPerturbLearning) {
     EXPECT_TRUE(BitEqual(queried.Estimate(q), untouched.Estimate(q)))
         << q.ToString();
   }
+}
+
+// ---------------------------------------------------------------------------
+// Bucket-tree goldens: STHoles and ISOMER share one bucket-tree core
+// (geometry, eq. 1, candidate shrinking, hole carving, lazy index), so a
+// fixed training run must keep producing these exact bits. The probe run
+// covers both read paths: the first probe after training may be served
+// linearly, the rest go through the index.
+
+// FNV-1a over the 8 little-endian bytes of `value`.
+void FoldFnv1a(uint64_t value, uint64_t* digest) {
+  for (int byte = 0; byte < 8; ++byte) {
+    *digest ^= (value >> (8 * byte)) & 0xffu;
+    *digest *= 1099511628211ULL;
+  }
+}
+
+GeneratedData MakeGoldenCross() {
+  CrossConfig cross;
+  cross.tuples_per_cluster = 2000;
+  cross.noise_tuples = 400;
+  return MakeCross(cross);
+}
+
+struct GoldenSetup {
+  uint64_t EstimateDigest(const Histogram& h) const {
+    uint64_t digest = 1469598103934665603ULL;
+    for (const Box& q : probes) FoldFnv1a(Bits(h.Estimate(q)), &digest);
+    return digest;
+  }
+
+  GeneratedData g = MakeGoldenCross();
+  Executor executor{g.data};
+  Workload train =
+      MakeWorkload(g.domain, {300, 0.01, CenterDistribution::kUniform, 7});
+  Workload probes =
+      MakeWorkload(g.domain, {200, 0.01, CenterDistribution::kUniform, 8});
+};
+
+TEST(BucketTreeGoldenTest, STHolesCrossTrainingIsBitStable) {
+  const GoldenSetup s;
+  STHolesConfig config;
+  config.max_buckets = 50;
+  STHoles h(s.g.domain, static_cast<double>(s.g.data.size()), config);
+  for (const Box& q : s.train) h.Refine(q, s.executor);
+
+  EXPECT_EQ(h.bucket_count(), 50u);
+  EXPECT_EQ(binfmt::Fnv1a(h.SerializeBinary()), 0x3fc14366fa44d878ULL);
+  EXPECT_EQ(s.EstimateDigest(h), 0x030d65f0af6a6026ULL);
+}
+
+TEST(BucketTreeGoldenTest, IsomerCrossTrainingIsBitStable) {
+  const GoldenSetup s;
+  IsomerConfig config;
+  config.max_buckets = 50;
+  IsomerHistogram h(s.g.domain, static_cast<double>(s.g.data.size()), config);
+  for (const Box& q : s.train) h.Refine(q, s.executor);
+
+  EXPECT_EQ(h.bucket_count(), 50u);
+  EXPECT_EQ(h.constraint_count(), 74u);
+  uint64_t digest = s.EstimateDigest(h);
+  FoldFnv1a(h.bucket_count(), &digest);
+  FoldFnv1a(h.constraint_count(), &digest);
+  EXPECT_EQ(digest, 0x16eafe22916d776dULL);
 }
 
 // ---------------------------------------------------------------------------
