@@ -1,0 +1,588 @@
+#ifndef STHIST_HISTOGRAM_BUCKET_TREE_H_
+#define STHIST_HISTOGRAM_BUCKET_TREE_H_
+
+#include <algorithm>
+#include <atomic>
+#include <cmath>
+#include <cstdint>
+#include <mutex>
+#include <span>
+#include <vector>
+
+#include "core/box.h"
+#include "core/check.h"
+#include "core/simd.h"
+#include "histogram/histogram.h"
+#include "histogram/robustness.h"
+#include "index/flat_index.h"
+#include "obs/metrics.h"
+
+namespace sthist {
+
+/// \file
+/// The bucket-tree core shared by STHoles and ISOMER (DESIGN.md §10): region
+/// geometry, the paper's eq. 1 estimation recursion (linear and indexed),
+/// candidate shrinking, the hole-carving step of a drill, the structural
+/// invariant check, and the lazily built bucket index with its read path.
+/// Everything here is templated on the estimator's bucket type and does
+/// exactly the same thing for both; what differs — copy-on-write and merges
+/// in STHoles, constraints and scaling in ISOMER — stays in the estimator.
+///
+/// BucketT must expose `Box box`, `double frequency`, a vector of owning
+/// child pointers named `children` (unique_ptr for exclusive trees,
+/// shared_ptr for COW trees), and a writable `RegionCache cached_region`.
+///
+/// The bitwise-equivalence contract (DESIGN.md §10) rests on one IEEE-754
+/// identity: for the non-negative terms these estimators produce, adding or
+/// subtracting an exact 0.0 never changes a double. A bucket whose box does
+/// not open-intersect the query contributes exactly 0.0 to every sum in the
+/// linear path — Box::IntersectionVolume returns exact 0.0 for disjoint
+/// boxes, and EstimateNode returns 0.0 at its top guard — so skipping those
+/// buckets, while visiting the survivors in the same nesting and order,
+/// reproduces the linear result bit for bit.
+
+/// Volumes at or below this fraction of the root volume count as zero: a
+/// candidate hole that small is not drilled, and a region that small is
+/// estimated as all-or-nothing.
+inline constexpr double kMinVolumeFraction = 1e-12;
+
+inline double MinRegionVolume(const Box& domain) {
+  return kMinVolumeFraction * domain.Volume();
+}
+
+/// Coordinate tolerance for box-equality decisions during drilling,
+/// relative to the domain scale.
+inline double DrillTolerance(const Box& domain) {
+  double max_extent = 0.0;
+  for (size_t d = 0; d < domain.dim(); ++d) {
+    max_extent = std::max(max_extent, domain.Extent(d));
+  }
+  return 1e-9 * (1.0 + max_extent);
+}
+
+/// Relaxed-atomic cell for a bucket's cached region volume.
+///
+/// With COW snapshot publishing (DESIGN.md §17) a bucket node can belong to
+/// several trees at once — the refiner's working tree and any number of
+/// published snapshots share untouched subtrees. Each tree builds its own
+/// index lazily, and every build writes the node's region volume; the values
+/// are bitwise-identical (a shared node is immutable, so the same boxes feed
+/// the same expression), but concurrent plain-double stores would still be a
+/// data race. The relaxed atomic makes the same-value overlap benign without
+/// adding any ordering cost to the probe path.
+class RegionCache {
+ public:
+  RegionCache() = default;
+  RegionCache(const RegionCache& other)
+      : value_(other.value_.load(std::memory_order_relaxed)) {}
+  RegionCache& operator=(const RegionCache& other) {
+    value_.store(other.value_.load(std::memory_order_relaxed),
+                 std::memory_order_relaxed);
+    return *this;
+  }
+
+  void Set(double value) { value_.store(value, std::memory_order_relaxed); }
+  double Get() const { return value_.load(std::memory_order_relaxed); }
+
+ private:
+  std::atomic<double> value_{0.0};
+};
+
+// ---------------------------------------------------------------------------
+// Geometry and the linear estimation recursion (paper eq. 1)
+// ---------------------------------------------------------------------------
+
+/// Volume of the bucket's region: its box minus its children's boxes, in
+/// child order, clamped at zero.
+template <typename BucketT>
+double RegionVolume(const BucketT& b) {
+  double v = b.box.Volume();
+  for (const auto& child : b.children) v -= child->box.Volume();
+  return std::max(v, 0.0);
+}
+
+/// Volume of `query` ∩ region(b).
+template <typename BucketT>
+double RegionIntersectionVolume(const BucketT& b, const Box& query) {
+  double v = b.box.IntersectionVolume(query);
+  for (const auto& child : b.children) {
+    v -= child->box.IntersectionVolume(query);
+  }
+  return std::max(v, 0.0);
+}
+
+/// Paper eq. 1 over the subtree rooted at `b`: uniformity within each
+/// region, summed over the whole subtree in child order. The reference path
+/// the indexed estimate must reproduce bit for bit.
+template <typename BucketT>
+double EstimateNode(const BucketT& b, const Box& query, double min_volume) {
+  if (!b.box.Intersects(query)) return 0.0;
+  double est = 0.0;
+  double region = RegionVolume(b);
+  if (region > min_volume) {
+    double overlap = std::min(RegionIntersectionVolume(b, query), region);
+    est += b.frequency * (overlap / region);
+  } else if (query.Contains(b.box)) {
+    // Degenerate region fully swallowed by the query: all its mass matches.
+    est += b.frequency;
+  }
+  for (const auto& child : b.children) {
+    est += EstimateNode(*child, query, min_volume);
+  }
+  return est;
+}
+
+/// Sum of all bucket frequencies (total tuple mass tracked).
+template <typename BucketT>
+double TotalFrequency(const BucketT& root) {
+  double total = 0.0;
+  std::vector<const BucketT*> stack = {&root};
+  while (!stack.empty()) {
+    const BucketT* b = stack.back();
+    stack.pop_back();
+    total += b->frequency;
+    for (const auto& child : b->children) stack.push_back(child.get());
+  }
+  return total;
+}
+
+// ---------------------------------------------------------------------------
+// Drilling (paper §2, STHoles §4.2)
+// ---------------------------------------------------------------------------
+
+/// Shrinks candidate = query ∩ box(b) until no child of b partially
+/// intersects it. Returns the shrunken candidate, or a zero-volume box when
+/// nothing is left to drill into b.
+template <typename BucketT>
+Box ShrinkCandidate(const BucketT& b, const Box& query) {
+  Box c = b.box.Intersection(query);
+  const size_t dim = c.dim();
+
+  while (true) {
+    // A child that swallows the whole candidate means the queried region
+    // belongs to that hole, not to b: nothing to drill here.
+    bool has_participant = false;
+    for (const auto& child : b.children) {
+      if (!child->box.Intersects(c)) continue;
+      if (child->box.Contains(c)) {
+        return Box::Cube(dim, c.lo(0), c.lo(0));  // Degenerate: volume 0.
+      }
+      if (!c.Contains(child->box)) {
+        has_participant = true;
+        break;
+      }
+    }
+    if (!has_participant) return c;
+
+    // Exclude some participant along the single dimension that preserves the
+    // most candidate volume (the STHoles greedy shrink). Re-scan all
+    // participants for the globally best cut.
+    double best_volume = -1.0;
+    size_t best_dim = 0;
+    bool best_cut_low = false;  // true: raise c.lo, false: lower c.hi.
+    double best_value = 0.0;
+    for (const auto& child : b.children) {
+      if (!child->box.Intersects(c) || c.Contains(child->box) ||
+          child->box.Contains(c)) {
+        continue;
+      }
+      for (size_t d = 0; d < dim; ++d) {
+        // Raise the low edge to the participant's high edge.
+        if (child->box.hi(d) > c.lo(d) && child->box.hi(d) < c.hi(d)) {
+          double v = c.Volume() / c.Extent(d) * (c.hi(d) - child->box.hi(d));
+          if (v > best_volume) {
+            best_volume = v;
+            best_dim = d;
+            best_cut_low = true;
+            best_value = child->box.hi(d);
+          }
+        }
+        // Lower the high edge to the participant's low edge.
+        if (child->box.lo(d) < c.hi(d) && child->box.lo(d) > c.lo(d)) {
+          double v = c.Volume() / c.Extent(d) * (child->box.lo(d) - c.lo(d));
+          if (v > best_volume) {
+            best_volume = v;
+            best_dim = d;
+            best_cut_low = false;
+            best_value = child->box.lo(d);
+          }
+        }
+      }
+    }
+    if (best_volume < 0.0) {
+      // No admissible cut (participants cover the candidate's extent in every
+      // cuttable dimension). Give up on this bucket.
+      return Box::Cube(dim, c.lo(0), c.lo(0));
+    }
+    if (best_cut_low) {
+      c.set_lo(best_dim, best_value);
+    } else {
+      c.set_hi(best_dim, best_value);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Invariants
+// ---------------------------------------------------------------------------
+
+/// Aborts unless b's children nest inside it with pairwise disjoint
+/// interiors and b's frequency is non-negative.
+template <typename BucketT>
+void CheckNode(const BucketT& b) {
+  STHIST_CHECK(b.frequency >= 0.0);
+  for (size_t i = 0; i < b.children.size(); ++i) {
+    STHIST_CHECK_MSG(b.box.Contains(b.children[i]->box),
+                     "child %s escapes parent %s",
+                     b.children[i]->box.ToString().c_str(),
+                     b.box.ToString().c_str());
+    for (size_t j = i + 1; j < b.children.size(); ++j) {
+      STHIST_CHECK_MSG(!b.children[i]->box.Intersects(b.children[j]->box),
+                       "siblings %s and %s overlap",
+                       b.children[i]->box.ToString().c_str(),
+                       b.children[j]->box.ToString().c_str());
+    }
+  }
+}
+
+/// CheckNode over every bucket of the tree, which must hold exactly
+/// `bucket_count` buckets (root included).
+template <typename BucketT>
+void CheckBucketTree(const BucketT& root, size_t bucket_count) {
+  size_t counted = 0;
+  std::vector<const BucketT*> stack = {&root};
+  while (!stack.empty()) {
+    const BucketT* b = stack.back();
+    stack.pop_back();
+    ++counted;
+    CheckNode(*b);
+    for (const auto& child : b->children) stack.push_back(child.get());
+  }
+  STHIST_CHECK(counted == bucket_count);
+}
+
+// ---------------------------------------------------------------------------
+// Spatial index over the buckets
+// ---------------------------------------------------------------------------
+
+/// Reference to one bucket as a child of its parent: the probe result
+/// currency. `slot` is the index into `parent->children`.
+template <typename BucketT>
+struct BucketChildRef {
+  BucketT* parent = nullptr;
+  uint32_t slot = 0;
+};
+
+/// Probe result: all buckets open-intersecting a query, grouped by parent
+/// and ordered by child slot within each group — i.e. exactly the
+/// sub-sequence of each node's child loop the linear scan would have found
+/// intersecting, in the order it would have found them.
+template <typename BucketT>
+class BucketGroups {
+ public:
+  /// The intersecting children of `parent`, in ascending slot order.
+  std::span<const BucketChildRef<BucketT>> Of(const BucketT* parent) const {
+    auto less_parent = [](const BucketChildRef<BucketT>& ref,
+                          const BucketT* p) {
+      return std::less<const BucketT*>()(ref.parent, p);
+    };
+    auto first = std::lower_bound(hits_.begin(), hits_.end(), parent,
+                                  less_parent);
+    auto last = first;
+    while (last != hits_.end() && last->parent == parent) ++last;
+    if (first == last) return {};
+    return {&*first, static_cast<size_t>(last - first)};
+  }
+
+  bool empty() const { return hits_.empty(); }
+  size_t size() const { return hits_.size(); }
+
+ private:
+  template <typename T>
+  friend class BucketTreeIndex;
+
+  std::vector<BucketChildRef<BucketT>> hits_;
+  // Probe scratch, reused across calls so a steady-state probe through a
+  // long-lived BucketGroups (the estimators hold one per thread) never
+  // allocates.
+  std::vector<uint64_t> scratch_ids_;
+};
+
+/// Spatial index over every non-root bucket of one histogram's bucket tree,
+/// on the flat SoA probe layer (FlatBoxIndex, DESIGN.md §15). Every build
+/// refreshes each bucket's `cached_region` with RegionVolume, so the cached
+/// value is the linear path's value by construction.
+///
+/// Lifecycle: `Rebuild` after structural changes (or lazily before the next
+/// probe); `AppendChild` is the incremental fast-path for a drill that only
+/// appended a hole; anything that moves or removes buckets invalidates the
+/// whole index (see the maintenance table in DESIGN.md §10). Probes are
+/// const and safe to run concurrently once built.
+template <typename BucketT>
+class BucketTreeIndex {
+ public:
+  /// Rebuilds from scratch over the tree rooted at `root`, refreshing every
+  /// bucket's cached region volume. O(n log n) in the bucket count.
+  void Rebuild(BucketT* root) {
+    refs_.clear();
+    std::vector<FlatBoxIndex::Entry> entries;
+    std::vector<BucketT*> pending = {root};
+    while (!pending.empty()) {
+      BucketT* bucket = pending.back();
+      pending.pop_back();
+      bucket->cached_region.Set(RegionVolume(*bucket));
+      for (uint32_t slot = 0;
+           slot < static_cast<uint32_t>(bucket->children.size()); ++slot) {
+        BucketT* child = bucket->children[slot].get();
+        entries.push_back({child->box, refs_.size()});
+        refs_.push_back({bucket, slot});
+        pending.push_back(child);
+      }
+    }
+    tree_.Bulk(std::move(entries));
+  }
+
+  /// Registers the child just appended to `parent->children` and refreshes
+  /// the two affected region caches. Only valid when the index was built and
+  /// the drill moved no other bucket.
+  void AppendChild(BucketT* parent) {
+    STHIST_DCHECK(!parent->children.empty());
+    const uint32_t slot = static_cast<uint32_t>(parent->children.size()) - 1;
+    BucketT* child = parent->children[slot].get();
+    tree_.Insert(child->box, refs_.size());
+    refs_.push_back({parent, slot});
+    parent->cached_region.Set(RegionVolume(*parent));
+    child->cached_region.Set(RegionVolume(*child));
+  }
+
+  /// Fills `out` with the buckets open-intersecting `query`, grouped for
+  /// BucketGroups::Of. Thread-safe against concurrent Probe calls. Returns
+  /// the probe's work (flat-index nodes and entry blocks, for metrics).
+  /// Allocation-free once `out`'s buffers have reached steady-state
+  /// capacity — the hot read path reuses the scratch inside BucketGroups
+  /// instead of allocating per query.
+  FlatBoxIndex::ProbeStats Probe(const Box& query,
+                                 BucketGroups<BucketT>* out) const {
+    out->hits_.clear();
+    std::vector<uint64_t>& ids = out->scratch_ids_;
+    ids.clear();
+    const FlatBoxIndex::ProbeStats stats =
+        tree_.Probe(query, BoxOverlap::kOpenInterior, &ids);
+    out->hits_.reserve(ids.size());
+    for (uint64_t id : ids) out->hits_.push_back(refs_[id]);
+    std::sort(out->hits_.begin(), out->hits_.end(),
+              [](const BucketChildRef<BucketT>& a,
+                 const BucketChildRef<BucketT>& b) {
+                if (a.parent != b.parent) {
+                  return std::less<const BucketT*>()(a.parent, b.parent);
+                }
+                return a.slot < b.slot;
+              });
+    return stats;
+  }
+
+  size_t size() const { return tree_.size(); }
+
+ private:
+  FlatBoxIndex tree_;
+  // Entry id -> (parent, slot); rebuilt with the tree, appended by
+  // AppendChild. Holds raw parent pointers, so any structural change that
+  // moves buckets must invalidate the index before the next probe.
+  std::vector<BucketChildRef<BucketT>> refs_;
+};
+
+/// Indexed replay of the estimation recursion (paper eq. 1) over only the
+/// probed buckets. Bitwise-identical to the linear EstimateNode: the region
+/// term uses the cached region volume (identical to a fresh computation by
+/// construction), the region-intersection subtracts only the children that
+/// actually intersect (the rest subtract exact 0.0 in the linear path), and
+/// recursion descends only into intersecting children (the rest return
+/// exact 0.0) in the same child order.
+template <typename BucketT>
+double EstimateIndexed(const BucketT& bucket, const Box& query,
+                       const BucketGroups<BucketT>& groups,
+                       double min_volume) {
+  if (!bucket.box.Intersects(query)) return 0.0;
+  const auto kids = groups.Of(&bucket);
+  double est = 0.0;
+  const double region = bucket.cached_region.Get();
+  if (region > min_volume) {
+    double overlap = bucket.box.IntersectionVolume(query);
+    for (const BucketChildRef<BucketT>& ref : kids) {
+      overlap -= bucket.children[ref.slot]->box.IntersectionVolume(query);
+    }
+    overlap = std::max(overlap, 0.0);
+    est += bucket.frequency * (std::min(overlap, region) / region);
+  } else if (query.Contains(bucket.box)) {
+    est += bucket.frequency;
+  }
+  for (const BucketChildRef<BucketT>& ref : kids) {
+    est += EstimateIndexed(*bucket.children[ref.slot], query, groups,
+                           min_volume);
+  }
+  return est;
+}
+
+/// The read path of one bucket tree: its BucketTreeIndex, built lazily, plus
+/// the estimate-path rejection counter and the index.bucket_tree.* /
+/// index.flat.* metric handles (DESIGN.md §13). Estimate may run
+/// concurrently (EstimateBatch); every structural change goes through
+/// InvalidateIndex or NoteDrill under the owner's exclusive-Refine contract.
+template <typename BucketT>
+class LazyBucketIndex {
+ public:
+  /// Resolves the metric handles once from `registry`.
+  explicit LazyBucketIndex(obs::MetricsRegistry* registry)
+      : builds_(registry->counter("index.bucket_tree.builds")),
+        appends_(registry->counter("index.bucket_tree.appends")),
+        invalidations_(registry->counter("index.bucket_tree.invalidations")),
+        probes_(registry->counter("index.bucket_tree.probes")),
+        node_visits_(registry->counter("index.bucket_tree.node_visits")),
+        flat_probes_(registry->counter("index.flat.probes")),
+        flat_entry_blocks_(registry->counter("index.flat.entry_blocks")) {
+    // The dispatched kernel level (0 scalar, 1 AVX2, 2 NEON).
+    registry->gauge("index.flat.simd_level")
+        .Set(static_cast<double>(simd::ActiveLevel()));
+  }
+
+  /// Paper eq. 1 for `query` over the tree rooted at `root`. Malformed
+  /// queries estimate to 0 and count as rejected. A cold index serves
+  /// linearly until estimates repeat on the same structure, then builds;
+  /// both paths return bitwise-identical values, so the policy is
+  /// observable only as wall-clock time.
+  double Estimate(BucketT* root, const Box& query) {
+    if (!IsEstimableQuery(root->box, query)) {
+      CountRejected();
+      return 0.0;
+    }
+    if (!ready_.load(std::memory_order_acquire)) {
+      const uint32_t repeats =
+          estimates_since_change_.fetch_add(1, std::memory_order_relaxed) + 1;
+      if (repeats < kIndexBuildAfter) {
+        return EstimateNode(*root, query, MinRegionVolume(root->box));
+      }
+      EnsureIndex(root);
+    }
+    // Thread-local scratch: probe buffers reach steady-state capacity after a
+    // few queries and the hottest read path in the system stops allocating
+    // (asserted by tests/flat_index_test.cc via an operator-new hook).
+    static thread_local BucketGroups<BucketT> groups;
+    const FlatBoxIndex::ProbeStats stats = index_.Probe(query, &groups);
+    probes_.Inc();
+    node_visits_.Inc(stats.node_visits);
+    flat_probes_.Inc();
+    flat_entry_blocks_.Inc(stats.entry_blocks);
+    return EstimateIndexed(*root, query, groups, MinRegionVolume(root->box));
+  }
+
+  /// The full-tree linear scan: the reference path for differential tests.
+  double EstimateLinear(const BucketT& root, const Box& query) {
+    if (!IsEstimableQuery(root.box, query)) {
+      CountRejected();
+      return 0.0;
+    }
+    return EstimateNode(root, query, MinRegionVolume(root.box));
+  }
+
+  /// Builds the index over `root` unless it is current (thread-safe,
+  /// idempotent) and returns it.
+  const BucketTreeIndex<BucketT>& EnsureIndex(BucketT* root) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (!ready_.load(std::memory_order_relaxed)) {
+      index_.Rebuild(root);
+      builds_.Inc();
+      ready_.store(true, std::memory_order_release);
+    }
+    return index_;
+  }
+
+  /// Marks the index stale after a structural change that moved buckets.
+  void InvalidateIndex() {
+    if (ready_.load(std::memory_order_relaxed)) invalidations_.Inc();
+    ready_.store(false, std::memory_order_relaxed);
+    estimates_since_change_.store(0, std::memory_order_relaxed);
+  }
+
+  /// Follows a drill that appended a hole to `parent->children`: a built
+  /// index extends incrementally unless children migrated into the hole
+  /// (slots shifted, so the index is stale).
+  void NoteDrill(BucketT* parent, bool migrated) {
+    if (migrated) {
+      InvalidateIndex();
+    } else if (ready_.load(std::memory_order_relaxed)) {
+      index_.AppendChild(parent);
+      appends_.Inc();
+    } else {
+      estimates_since_change_.store(0, std::memory_order_relaxed);
+    }
+  }
+
+  /// Estimate-path rejections since construction, and one more of them.
+  size_t rejected() const { return rejected_.load(std::memory_order_relaxed); }
+  void CountRejected() { rejected_.fetch_add(1, std::memory_order_relaxed); }
+
+ private:
+  // Estimates that must repeat on an unchanged bucket tree before the lazy
+  // build triggers, so a lone estimate inside an Estimate/Refine interleave
+  // (learn-during-sim) doesn't pay an O(n log n) rebuild per query.
+  static constexpr uint32_t kIndexBuildAfter = 2;
+
+  // Serializes builds; probes run lock-free once `ready_` is observed true
+  // (acquire) after the builder's release store.
+  std::mutex mutex_;
+  BucketTreeIndex<BucketT> index_;
+  std::atomic<bool> ready_{false};
+  // Estimates served since the last structural change (kIndexBuildAfter).
+  std::atomic<uint32_t> estimates_since_change_{0};
+  // Atomic because Estimate runs concurrently; the owner's Refine-path
+  // counters stay plain (Refine is exclusive).
+  std::atomic<size_t> rejected_{0};
+  obs::Counter builds_;
+  obs::Counter appends_;
+  obs::Counter invalidations_;
+  obs::Counter probes_;
+  obs::Counter node_visits_;
+  obs::Counter flat_probes_;
+  obs::Counter flat_entry_blocks_;
+};
+
+/// The hole-carving step of a drill: makes `hole` (a fresh, empty node) with
+/// box `candidate` the last child of `b`, moves b's children contained in
+/// the candidate into it, seeds its frequency with the candidate's count
+/// minus the moved children's counts, debits b by the same amount, and
+/// appends to or invalidates `index`. Moving child *handles* never mutates
+/// the children themselves, so a migrated subtree may stay shared with COW
+/// snapshots. Returns the number of migrated children.
+template <typename BucketT, typename Handle>
+size_t CarveHole(BucketT* b, Handle hole, const Box& candidate,
+                 const CardinalityOracle& oracle, RobustnessStats* stats,
+                 LazyBucketIndex<BucketT>* index) {
+  hole->box = candidate;
+  double moved_mass = 0.0;
+  std::vector<Handle> kept;
+  kept.reserve(b->children.size());
+  for (auto& child : b->children) {
+    if (candidate.Contains(child->box)) {
+      moved_mass += oracle.Count(child->box);
+      hole->children.push_back(std::move(child));
+    } else {
+      kept.push_back(std::move(child));
+    }
+  }
+  b->children = std::move(kept);
+
+  hole->frequency = std::max(oracle.Count(candidate) - moved_mass, 0.0);
+  if (!std::isfinite(hole->frequency)) {
+    ++stats->repaired_buckets;
+    hole->frequency = 0.0;
+  }
+  b->frequency = std::max(b->frequency - hole->frequency, 0.0);
+  const size_t migrated = hole->children.size();
+  b->children.push_back(std::move(hole));
+  index->NoteDrill(b, migrated > 0);
+  return migrated;
+}
+
+}  // namespace sthist
+
+#endif  // STHIST_HISTOGRAM_BUCKET_TREE_H_

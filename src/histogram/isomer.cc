@@ -1,14 +1,11 @@
 #include "histogram/isomer.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <limits>
-#include <mutex>
 
 #include "core/check.h"
-#include "core/simd.h"
-#include "histogram/bucket_index.h"
+#include "histogram/bucket_tree.h"
 #include "histogram/robustness.h"
 #include "obs/trace.h"
 
@@ -22,24 +19,6 @@ struct IsomerHistogram::Bucket {
   RegionCache cached_region;
 };
 
-/// Spatial index over the bucket tree plus its build/validity state
-/// (mirrors STHoles::IndexState; see DESIGN.md §10).
-struct IsomerHistogram::IndexState {
-  std::mutex mutex;
-  BucketTreeIndex<Bucket> index;
-  std::atomic<bool> ready{false};
-  std::atomic<uint32_t> estimates_since_change{0};
-  std::atomic<size_t> rejected_estimates{0};
-};
-
-namespace {
-
-// Estimates that must repeat on an unchanged bucket tree before the lazy
-// index build triggers (matches STHoles).
-constexpr uint32_t kIndexBuildAfter = 2;
-
-}  // namespace
-
 IsomerHistogram::IsomerHistogram(const Box& domain, double total_tuples,
                                  const IsomerConfig& config)
     : config_(config), total_tuples_(total_tuples) {
@@ -50,139 +29,52 @@ IsomerHistogram::IsomerHistogram(const Box& domain, double total_tuples,
   root_->box = domain;
   root_->frequency = total_tuples;
   bucket_count_ = 1;
-  index_ = std::make_unique<IndexState>();
 
   obs::MetricsRegistry* reg =
       config.metrics != nullptr ? config.metrics : obs::GlobalMetrics();
+  index_ = std::make_unique<LazyBucketIndex<Bucket>>(reg);
   metrics_.estimates = reg->counter("histogram.isomer.estimates");
   metrics_.refines = reg->counter("histogram.isomer.refines");
   metrics_.constraints = reg->gauge("histogram.isomer.constraints");
   metrics_.refine_seconds = reg->latency("histogram.isomer.refine_seconds");
   metrics_.solve_seconds = reg->latency("histogram.isomer.solve_seconds");
-  metrics_.index_builds = reg->counter("index.bucket_tree.builds");
-  metrics_.index_invalidations = reg->counter("index.bucket_tree.invalidations");
-  metrics_.index_probes = reg->counter("index.bucket_tree.probes");
-  metrics_.index_node_visits = reg->counter("index.bucket_tree.node_visits");
-  metrics_.flat_probes = reg->counter("index.flat.probes");
-  metrics_.flat_entry_blocks = reg->counter("index.flat.entry_blocks");
-  metrics_.flat_simd_level = reg->gauge("index.flat.simd_level");
-  metrics_.flat_simd_level.Set(static_cast<double>(simd::ActiveLevel()));
-  metrics_.ring = reg->ring();
 
   // The relation cardinality is a permanent constraint: the max-entropy
   // solution must always integrate to the table size.
-  constraints_.push_back({domain, total_tuples});
+  constraints_.push_back({.box = domain, .count = total_tuples});
 }
 
 IsomerHistogram::~IsomerHistogram() = default;
 
 size_t IsomerHistogram::bucket_count() const { return bucket_count_ - 1; }
 
-double IsomerHistogram::MinVolume() const {
-  return 1e-12 * root_->box.Volume();
-}
-
 // ---------------------------------------------------------------------------
-// Geometry + estimation (as STHoles eq. 1)
+// Estimation (paper eq. 1, histogram/bucket_tree.h)
 // ---------------------------------------------------------------------------
-
-double IsomerHistogram::RegionVolume(const Bucket& b) {
-  double v = b.box.Volume();
-  for (const auto& child : b.children) v -= child->box.Volume();
-  return std::max(v, 0.0);
-}
-
-double IsomerHistogram::RegionIntersectionVolume(const Bucket& b,
-                                                 const Box& query) {
-  double v = b.box.IntersectionVolume(query);
-  for (const auto& child : b.children) {
-    v -= child->box.IntersectionVolume(query);
-  }
-  return std::max(v, 0.0);
-}
 
 double IsomerHistogram::Estimate(const Box& query) const {
   metrics_.estimates.Inc();
-  if (!IsEstimableQuery(root_->box, query)) {
-    index_->rejected_estimates.fetch_add(1, std::memory_order_relaxed);
-    return 0.0;
-  }
-  if (!index_->ready.load(std::memory_order_acquire)) {
-    const uint32_t repeats = index_->estimates_since_change.fetch_add(
-                                 1, std::memory_order_relaxed) +
-                             1;
-    if (repeats < kIndexBuildAfter) return EstimateNode(*root_, query);
-    EnsureIndex();
-  }
-  // Thread-local scratch: see STHoles::Estimate.
-  static thread_local BucketGroups<Bucket> groups;
-  const FlatBoxIndex::ProbeStats stats = index_->index.Probe(query, &groups);
-  metrics_.index_probes.Inc();
-  metrics_.index_node_visits.Inc(stats.node_visits);
-  metrics_.flat_probes.Inc();
-  metrics_.flat_entry_blocks.Inc(stats.entry_blocks);
-  return EstimateIndexed(*root_, query, groups, MinVolume());
+  return index_->Estimate(root_.get(), query);
 }
 
 double IsomerHistogram::EstimateLinear(const Box& query) const {
-  if (!IsEstimableQuery(root_->box, query)) {
-    index_->rejected_estimates.fetch_add(1, std::memory_order_relaxed);
-    return 0.0;
-  }
-  return EstimateNode(*root_, query);
+  return index_->EstimateLinear(*root_, query);
 }
 
-void IsomerHistogram::EnsureIndex() const {
-  std::lock_guard<std::mutex> lock(index_->mutex);
-  if (index_->ready.load(std::memory_order_relaxed)) return;
-  index_->index.Rebuild(root_.get());
-  metrics_.index_builds.Inc();
-  index_->ready.store(true, std::memory_order_release);
-}
-
-void IsomerHistogram::InvalidateIndex() {
-  if (index_->ready.load(std::memory_order_relaxed)) {
-    metrics_.index_invalidations.Inc();
-  }
-  index_->ready.store(false, std::memory_order_relaxed);
-  index_->estimates_since_change.store(0, std::memory_order_relaxed);
+void IsomerHistogram::PrepareForBatch() const {
+  index_->EnsureIndex(root_.get());
 }
 
 void IsomerHistogram::NoteStructureChange() { ++structure_epoch_; }
 
 RobustnessStats IsomerHistogram::robustness() const {
   RobustnessStats stats = stats_;
-  stats.rejected_queries +=
-      index_->rejected_estimates.load(std::memory_order_relaxed);
+  stats.rejected_queries += index_->rejected();
   return stats;
 }
 
-double IsomerHistogram::EstimateNode(const Bucket& b, const Box& query) const {
-  if (!b.box.Intersects(query)) return 0.0;
-  double est = 0.0;
-  double region = RegionVolume(b);
-  if (region > MinVolume()) {
-    double overlap = std::min(RegionIntersectionVolume(b, query), region);
-    est += b.frequency * (overlap / region);
-  } else if (query.Contains(b.box)) {
-    est += b.frequency;
-  }
-  for (const auto& child : b.children) {
-    est += EstimateNode(*child, query);
-  }
-  return est;
-}
-
 double IsomerHistogram::TotalFrequency() const {
-  double total = 0.0;
-  std::vector<const Bucket*> stack = {root_.get()};
-  while (!stack.empty()) {
-    const Bucket* b = stack.back();
-    stack.pop_back();
-    total += b->frequency;
-    for (const auto& child : b->children) stack.push_back(child.get());
-  }
-  return total;
+  return sthist::TotalFrequency(*root_);
 }
 
 // ---------------------------------------------------------------------------
@@ -198,72 +90,9 @@ void IsomerHistogram::CollectIntersecting(Bucket* b, const Box& query,
   }
 }
 
-Box IsomerHistogram::ShrinkCandidate(const Bucket& b, const Box& query) const {
-  Box c = b.box.Intersection(query);
-  const size_t dim = c.dim();
-
-  while (true) {
-    const Bucket* participant = nullptr;
-    for (const auto& child : b.children) {
-      if (!child->box.Intersects(c)) continue;
-      if (child->box.Contains(c)) {
-        return Box::Cube(dim, c.lo(0), c.lo(0));
-      }
-      if (!c.Contains(child->box)) {
-        participant = child.get();
-        break;
-      }
-    }
-    if (participant == nullptr) return c;
-
-    double best_volume = -1.0;
-    size_t best_dim = 0;
-    bool best_cut_low = false;
-    double best_value = 0.0;
-    for (const auto& child : b.children) {
-      if (!child->box.Intersects(c) || c.Contains(child->box) ||
-          child->box.Contains(c)) {
-        continue;
-      }
-      for (size_t d = 0; d < dim; ++d) {
-        if (child->box.hi(d) > c.lo(d) && child->box.hi(d) < c.hi(d)) {
-          double v = c.Volume() / c.Extent(d) * (c.hi(d) - child->box.hi(d));
-          if (v > best_volume) {
-            best_volume = v;
-            best_dim = d;
-            best_cut_low = true;
-            best_value = child->box.hi(d);
-          }
-        }
-        if (child->box.lo(d) < c.hi(d) && child->box.lo(d) > c.lo(d)) {
-          double v = c.Volume() / c.Extent(d) * (child->box.lo(d) - c.lo(d));
-          if (v > best_volume) {
-            best_volume = v;
-            best_dim = d;
-            best_cut_low = false;
-            best_value = child->box.lo(d);
-          }
-        }
-      }
-    }
-    if (best_volume < 0.0) {
-      return Box::Cube(dim, c.lo(0), c.lo(0));
-    }
-    if (best_cut_low) {
-      c.set_lo(best_dim, best_value);
-    } else {
-      c.set_hi(best_dim, best_value);
-    }
-  }
-}
-
 void IsomerHistogram::DrillHole(Bucket* b, const Box& candidate,
                                 const CardinalityOracle& oracle) {
-  double max_extent = 0.0;
-  for (size_t d = 0; d < root_->box.dim(); ++d) {
-    max_extent = std::max(max_extent, root_->box.Extent(d));
-  }
-  const double eps = 1e-9 * (1.0 + max_extent);
+  const double eps = DrillTolerance(root_->box);
 
   // Candidate covers the whole bucket, or coincides with an existing child:
   // the structure already supports the constraint.
@@ -272,45 +101,15 @@ void IsomerHistogram::DrillHole(Bucket* b, const Box& candidate,
     if (child->box.ApproxEquals(candidate, eps)) return;
   }
 
-  auto hole = std::make_unique<Bucket>();
-  hole->box = candidate;
-
-  double moved_mass = 0.0;
-  std::vector<std::unique_ptr<Bucket>> kept;
-  kept.reserve(b->children.size());
-  for (auto& child : b->children) {
-    if (candidate.Contains(child->box)) {
-      moved_mass += oracle.Count(child->box);
-      hole->children.push_back(std::move(child));
-    } else {
-      kept.push_back(std::move(child));
-    }
-  }
-  b->children = std::move(kept);
-
   // Seed the hole with the observed count (as ISOMER's add-hole step does);
   // iterative scaling then reconciles the whole tree with every retained
   // constraint.
-  hole->frequency = std::max(oracle.Count(candidate) - moved_mass, 0.0);
-  if (!std::isfinite(hole->frequency)) {
-    ++stats_.repaired_buckets;
-    hole->frequency = 0.0;
-  }
-  b->frequency = std::max(b->frequency - hole->frequency, 0.0);
-  const bool migrated = !hole->children.empty();
-  b->children.push_back(std::move(hole));
+  CarveHole(b, std::make_unique<Bucket>(), candidate, oracle, &stats_,
+            index_.get());
   ++bucket_count_;
-
   // Any drill changes region geometry, so constraint plans must rebuild;
   // the index itself only goes stale when children moved between lists.
   NoteStructureChange();
-  if (migrated) {
-    InvalidateIndex();
-  } else if (index_->ready.load(std::memory_order_relaxed)) {
-    index_->index.AppendChild(b);
-  } else {
-    index_->estimates_since_change.store(0, std::memory_order_relaxed);
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -347,12 +146,12 @@ void IsomerHistogram::EnsurePlan(Constraint* constraint) {
 
   // Probe once; the plan then replays CollectIntersecting's pre-order
   // without ever scanning non-intersecting subtrees.
-  EnsureIndex();
   BucketGroups<Bucket> groups;
-  index_->index.Probe(constraint->box, &groups);
+  index_->EnsureIndex(root_.get()).Probe(constraint->box, &groups);
 
   const Box& box = constraint->box;
   if (root_->box.IntersectionVolume(box) <= 0.0) return;
+  const double min_volume = MinRegionVolume(root_->box);
   auto make_node = [&](Bucket* b) {
     PlanNode node;
     node.bucket = b;
@@ -366,7 +165,7 @@ void IsomerHistogram::EnsurePlan(Constraint* constraint) {
       v -= b->children[ref.slot]->box.IntersectionVolume(box);
     }
     node.riv = std::max(v, 0.0);
-    node.usable = node.region > MinVolume();
+    node.usable = node.region > min_volume;
     node.contained = box.Contains(b->box);
     return node;
   };
@@ -377,7 +176,7 @@ void IsomerHistogram::EnsurePlan(Constraint* constraint) {
 double IsomerHistogram::PlanEstimate(const Constraint& constraint) const {
   STHIST_DCHECK(constraint.plan_epoch == structure_epoch_);
   if (!constraint.plan_estimable) {
-    index_->rejected_estimates.fetch_add(1, std::memory_order_relaxed);
+    index_->CountRejected();
     return 0.0;
   }
   // Local recursion over the pre-order plan using the subtree extents.
@@ -483,15 +282,15 @@ double IsomerHistogram::MaxConstraintViolation() const {
 void IsomerHistogram::Refine(const Box& query,
                              const CardinalityOracle& oracle) {
   metrics_.refines.Inc();
-  obs::TraceSpan span("isomer.refine", metrics_.refine_seconds,
-                      metrics_.ring);
+  obs::ScopedTimer refine_timer(metrics_.refine_seconds);
   // Query boxes and oracle counts are untrusted: repair what is repairable,
   // drop what is not, and never abort.
   std::optional<Box> sanitized =
       SanitizeFeedbackQuery(root_->box, query, &stats_);
   if (!sanitized.has_value()) return;
   Box q = std::move(*sanitized);
-  if (q.Volume() <= MinVolume()) {
+  const double min_volume = MinRegionVolume(root_->box);
+  if (q.Volume() <= min_volume) {
     ++stats_.rejected_queries;
     return;
   }
@@ -501,7 +300,7 @@ void IsomerHistogram::Refine(const Box& query,
   // cardinality constraint at the front never ages out). The sanitized count
   // is finite and non-negative, so the scaling passes stay well-defined.
   double count = safe.Count(q);
-  constraints_.push_back({q, count});
+  constraints_.push_back({.box = q, .count = count});
   while (constraints_.size() > config_.max_constraints) {
     constraints_.erase(constraints_.begin() + 1);
   }
@@ -511,7 +310,7 @@ void IsomerHistogram::Refine(const Box& query,
   CollectIntersecting(root_.get(), q, &intersecting);
   for (Bucket* b : intersecting) {
     Box candidate = ShrinkCandidate(*b, q);
-    if (candidate.Volume() <= MinVolume()) continue;
+    if (candidate.Volume() <= min_volume) continue;
     DrillHole(b, candidate, safe);
   }
 
@@ -567,35 +366,12 @@ void IsomerHistogram::EnforceBudget() {
     // The merge moved buckets between children lists and deleted one:
     // index references and plan Bucket pointers are both stale.
     NoteStructureChange();
-    InvalidateIndex();
+    index_->InvalidateIndex();
   }
 }
-
-// ---------------------------------------------------------------------------
-// Invariants
-// ---------------------------------------------------------------------------
 
 void IsomerHistogram::CheckInvariants() const {
-  size_t counted = 0;
-  std::vector<const Bucket*> stack = {root_.get()};
-  while (!stack.empty()) {
-    const Bucket* b = stack.back();
-    stack.pop_back();
-    ++counted;
-    CheckNode(*b);
-    for (const auto& child : b->children) stack.push_back(child.get());
-  }
-  STHIST_CHECK(counted == bucket_count_);
-}
-
-void IsomerHistogram::CheckNode(const Bucket& b) const {
-  STHIST_CHECK(b.frequency >= 0.0);
-  for (size_t i = 0; i < b.children.size(); ++i) {
-    STHIST_CHECK(b.box.Contains(b.children[i]->box));
-    for (size_t j = i + 1; j < b.children.size(); ++j) {
-      STHIST_CHECK(!b.children[i]->box.Intersects(b.children[j]->box));
-    }
-  }
+  CheckBucketTree(*root_, bucket_count_);
 }
 
 }  // namespace sthist

@@ -12,6 +12,9 @@
 
 namespace sthist {
 
+template <typename BucketT>
+class LazyBucketIndex;
+
 /// ISOMER parameters.
 struct IsomerConfig {
   /// Bucket budget, excluding the fixed root (STHoles counting convention).
@@ -104,29 +107,21 @@ class IsomerHistogram : public Histogram {
  protected:
   /// Batch amortization (base-class hook): builds the bucket index once up
   /// front so the fanned-out per-query estimates only ever probe.
-  void PrepareForBatch() const override { EnsureIndex(); }
+  void PrepareForBatch() const override;
 
  private:
   struct Bucket;
 
   // Metric handles (DESIGN.md §13), resolved once at construction from
-  // config.metrics (or GlobalMetrics()); updates never feed back into any
-  // estimate or scaling decision.
+  // config.metrics (or GlobalMetrics()); the index.* handles live in the
+  // LazyBucketIndex. Updates never feed back into any estimate or scaling
+  // decision.
   struct Metrics {
     obs::Counter estimates;
     obs::Counter refines;
     obs::Gauge constraints;
     obs::LatencyHistogram refine_seconds;
     obs::LatencyHistogram solve_seconds;
-    obs::Counter index_builds;
-    obs::Counter index_invalidations;
-    obs::Counter index_probes;
-    obs::Counter index_node_visits;
-    // Flat-index probe work (DESIGN.md §15); see STHoles::Metrics.
-    obs::Counter flat_probes;
-    obs::Counter flat_entry_blocks;
-    obs::Gauge flat_simd_level;
-    obs::TraceRing* ring = nullptr;
   };
 
   /// Cached geometry of one bucket against one constraint box, valid while
@@ -141,7 +136,7 @@ class IsomerHistogram : public Histogram {
     double region = 0.0;     // RegionVolume at plan-build time.
     double riv = 0.0;        // RegionIntersectionVolume(bucket, box).
     uint32_t subtree = 1;    // Plan nodes in this bucket's subtree, incl. self.
-    bool usable = false;     // region > MinVolume(): participates in scaling.
+    bool usable = false;     // region > MinRegionVolume: participates.
     bool contained = false;  // box contains bucket->box (degenerate term).
   };
 
@@ -151,18 +146,12 @@ class IsomerHistogram : public Histogram {
     /// structure_epoch_ the plan below was built against; 0 = never built.
     uint64_t plan_epoch = 0;
     /// Pre-order plan over the buckets intersecting `box`.
-    std::vector<PlanNode> plan;
+    std::vector<PlanNode> plan{};
     bool plan_estimable = true;  // IsEstimableQuery(domain, box) at build.
   };
 
-  static double RegionVolume(const Bucket& b);
-  static double RegionIntersectionVolume(const Bucket& b, const Box& query);
-
-  double EstimateNode(const Bucket& b, const Box& query) const;
-
   void CollectIntersecting(Bucket* b, const Box& query,
                            std::vector<Bucket*>* out);
-  Box ShrinkCandidate(const Bucket& b, const Box& query) const;
   // Carves `candidate` out of b, seeded with the observed count (ISOMER's
   // add-hole step); scaling reconciles the rest of the tree.
   void DrillHole(Bucket* b, const Box& candidate,
@@ -175,19 +164,14 @@ class IsomerHistogram : public Histogram {
 
   void EnforceBudget();
 
-  // --- Constraint plans + bucket index (DESIGN.md §10) ---
+  // --- Constraint plans (DESIGN.md §10) ---
   // Rebuilds constraint->plan via an index probe if its epoch is stale.
   void EnsurePlan(Constraint* constraint);
   // Replays the estimation recursion over a (fresh) plan; bitwise-identical
   // to Estimate(constraint.box) under the current frequencies.
   double PlanEstimate(const Constraint& constraint) const;
-  void EnsureIndex() const;
-  void InvalidateIndex();
   // Records a structural change: bumps the epoch so constraint plans rebuild.
   void NoteStructureChange();
-
-  double MinVolume() const;
-  void CheckNode(const Bucket& b) const;
 
   IsomerConfig config_;
   Metrics metrics_;
@@ -196,14 +180,13 @@ class IsomerHistogram : public Histogram {
   std::deque<Constraint> constraints_;
   double total_tuples_;
   // Refine-path degradation counters; Estimate-path rejections live in
-  // IndexState as an atomic and are merged in robustness().
+  // index_ as an atomic and are merged in robustness().
   RobustnessStats stats_;
   /// Incremented on every drill/merge; constraint plans cache geometry
   /// keyed by this, so stale Bucket pointers in plans are never followed.
   uint64_t structure_epoch_ = 1;
-  // Spatial index over the bucket tree; defined in the .cc.
-  struct IndexState;
-  std::unique_ptr<IndexState> index_;
+  // Lazily built bucket index and read path (histogram/bucket_tree.h).
+  std::unique_ptr<LazyBucketIndex<Bucket>> index_;
 };
 
 }  // namespace sthist

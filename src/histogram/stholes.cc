@@ -1,15 +1,12 @@
 #include "histogram/stholes.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <limits>
-#include <mutex>
 
 #include "core/binfmt.h"
 #include "core/check.h"
-#include "core/simd.h"
-#include "histogram/bucket_index.h"
+#include "histogram/bucket_tree.h"
 #include "histogram/robustness.h"
 #include "obs/trace.h"
 
@@ -28,38 +25,11 @@ struct STHoles::Bucket {
   std::vector<std::shared_ptr<Bucket>> children;
   /// Region volume as of the last index (re)build; only read on the indexed
   /// estimation path, which guarantees it is fresh (bitwise equal to
-  /// RegionVolume) whenever IndexState::ready holds. A relaxed-atomic cell
+  /// RegionVolume) whenever the index is built. A relaxed-atomic cell
   /// because the working tree and each snapshot build their own index, and
   /// those builds write bitwise-identical values into shared nodes.
   RegionCache cached_region;
 };
-
-/// Spatial index over the bucket tree plus its build/validity state.
-struct STHoles::IndexState {
-  // Serializes builds; probes run lock-free once `ready` is observed true
-  // (acquire) after the builder's release store.
-  std::mutex mutex;
-  BucketTreeIndex<Bucket> index;
-  std::atomic<bool> ready{false};
-  // Estimates served since the last structural change. The lazy build waits
-  // for a few of them so a lone estimate inside an Estimate/Refine interleave
-  // (learn-during-sim) doesn't pay an O(n log n) rebuild per query.
-  std::atomic<uint32_t> estimates_since_change{0};
-  // Estimate-path rejections; atomic because EstimateBatch runs Estimate
-  // concurrently. Refine-path counters stay in stats_ (Refine is exclusive).
-  std::atomic<size_t> rejected_estimates{0};
-};
-
-namespace {
-
-// Relative tolerance for box-equality decisions during drilling.
-constexpr double kBoxEps = 1e-9;
-
-// Estimates that must repeat on an unchanged bucket tree before the lazy
-// index build triggers (see IndexState::estimates_since_change).
-constexpr uint32_t kIndexBuildAfter = 2;
-
-}  // namespace
 
 STHoles::STHoles(const Box& domain, double total_tuples,
                  const STHolesConfig& config)
@@ -71,10 +41,10 @@ STHoles::STHoles(const Box& domain, double total_tuples,
   root_->box = domain;
   root_->frequency = total_tuples;
   bucket_count_ = 1;
-  index_ = std::make_unique<IndexState>();
 
   obs::MetricsRegistry* reg =
       config.metrics != nullptr ? config.metrics : obs::GlobalMetrics();
+  index_ = std::make_unique<LazyBucketIndex<Bucket>>(reg);
   metrics_.estimates = reg->counter("histogram.stholes.estimates");
   metrics_.refines = reg->counter("histogram.stholes.refines");
   metrics_.drills = reg->counter("histogram.stholes.drills");
@@ -85,137 +55,38 @@ STHoles::STHoles(const Box& domain, double total_tuples,
   metrics_.refine_seconds = reg->latency("histogram.stholes.refine_seconds");
   metrics_.drill_seconds = reg->latency("histogram.stholes.drill_seconds");
   metrics_.merge_seconds = reg->latency("histogram.stholes.merge_seconds");
-  metrics_.index_builds = reg->counter("index.bucket_tree.builds");
-  metrics_.index_appends = reg->counter("index.bucket_tree.appends");
-  metrics_.index_invalidations = reg->counter("index.bucket_tree.invalidations");
-  metrics_.index_probes = reg->counter("index.bucket_tree.probes");
-  metrics_.index_node_visits = reg->counter("index.bucket_tree.node_visits");
-  metrics_.flat_probes = reg->counter("index.flat.probes");
-  metrics_.flat_entry_blocks = reg->counter("index.flat.entry_blocks");
-  metrics_.flat_simd_level = reg->gauge("index.flat.simd_level");
-  metrics_.flat_simd_level.Set(static_cast<double>(simd::ActiveLevel()));
   metrics_.cow_copied = reg->counter("histogram.cow.copied_nodes");
   metrics_.cow_snapshots = reg->counter("histogram.cow.snapshots");
   metrics_.cow_shared = reg->gauge("histogram.cow.shared_nodes");
-  metrics_.ring = reg->ring();
 }
 
 STHoles::~STHoles() = default;
 
 const Box& STHoles::domain() const { return root_->box; }
 
-double STHoles::MinVolume() const {
-  return config_.min_volume_fraction * root_->box.Volume();
-}
-
 // ---------------------------------------------------------------------------
-// Geometry
-// ---------------------------------------------------------------------------
-
-double STHoles::RegionVolume(const Bucket& b) {
-  double v = b.box.Volume();
-  for (const auto& child : b.children) v -= child->box.Volume();
-  return std::max(v, 0.0);
-}
-
-double STHoles::RegionIntersectionVolume(const Bucket& b, const Box& query) {
-  double v = b.box.IntersectionVolume(query);
-  for (const auto& child : b.children) {
-    v -= child->box.IntersectionVolume(query);
-  }
-  return std::max(v, 0.0);
-}
-
-// ---------------------------------------------------------------------------
-// Estimation (paper eq. 1)
+// Estimation (paper eq. 1, histogram/bucket_tree.h)
 // ---------------------------------------------------------------------------
 
 double STHoles::Estimate(const Box& query) const {
   metrics_.estimates.Inc();
-  if (!IsEstimableQuery(root_->box, query)) {
-    index_->rejected_estimates.fetch_add(1, std::memory_order_relaxed);
-    return 0.0;
-  }
-  if (!index_->ready.load(std::memory_order_acquire)) {
-    // Cold index: serve linearly until estimates repeat on this structure,
-    // then build. Both paths return bitwise-identical values, so the policy
-    // is observable only as wall-clock time.
-    const uint32_t repeats = index_->estimates_since_change.fetch_add(
-                                 1, std::memory_order_relaxed) +
-                             1;
-    if (repeats < kIndexBuildAfter) return EstimateNode(*root_, query);
-    EnsureIndex();
-  }
-  // Thread-local scratch: probe buffers reach steady-state capacity after a
-  // few queries and the hottest read path in the system stops allocating
-  // (asserted by tests/flat_index_test.cc via an operator-new hook).
-  static thread_local BucketGroups<Bucket> groups;
-  const FlatBoxIndex::ProbeStats stats = index_->index.Probe(query, &groups);
-  metrics_.index_probes.Inc();
-  metrics_.index_node_visits.Inc(stats.node_visits);
-  metrics_.flat_probes.Inc();
-  metrics_.flat_entry_blocks.Inc(stats.entry_blocks);
-  return EstimateIndexed(*root_, query, groups, MinVolume());
+  return index_->Estimate(root_.get(), query);
 }
 
 double STHoles::EstimateLinear(const Box& query) const {
-  if (!IsEstimableQuery(root_->box, query)) {
-    index_->rejected_estimates.fetch_add(1, std::memory_order_relaxed);
-    return 0.0;
-  }
-  return EstimateNode(*root_, query);
+  return index_->EstimateLinear(*root_, query);
 }
 
-void STHoles::EnsureIndex() const {
-  std::lock_guard<std::mutex> lock(index_->mutex);
-  if (index_->ready.load(std::memory_order_relaxed)) return;
-  index_->index.Rebuild(root_.get());
-  metrics_.index_builds.Inc();
-  index_->ready.store(true, std::memory_order_release);
-}
-
-void STHoles::InvalidateIndex() {
-  if (index_->ready.load(std::memory_order_relaxed)) {
-    metrics_.index_invalidations.Inc();
-  }
-  index_->ready.store(false, std::memory_order_relaxed);
-  index_->estimates_since_change.store(0, std::memory_order_relaxed);
-}
+void STHoles::PrepareForBatch() const { index_->EnsureIndex(root_.get()); }
 
 RobustnessStats STHoles::robustness() const {
   RobustnessStats stats = stats_;
-  stats.rejected_queries +=
-      index_->rejected_estimates.load(std::memory_order_relaxed);
+  stats.rejected_queries += index_->rejected();
   return stats;
 }
 
-double STHoles::EstimateNode(const Bucket& b, const Box& query) const {
-  if (!b.box.Intersects(query)) return 0.0;
-  double est = 0.0;
-  double region = RegionVolume(b);
-  if (region > MinVolume()) {
-    double overlap = std::min(RegionIntersectionVolume(b, query), region);
-    est += b.frequency * (overlap / region);
-  } else if (query.Contains(b.box)) {
-    // Degenerate region fully swallowed by the query: all its mass matches.
-    est += b.frequency;
-  }
-  for (const auto& child : b.children) {
-    est += EstimateNode(*child, query);
-  }
-  return est;
-}
-
 double STHoles::TotalFrequency() const {
-  double total = 0.0;
-  std::vector<const Bucket*> stack = {root_.get()};
-  while (!stack.empty()) {
-    const Bucket* b = stack.back();
-    stack.pop_back();
-    total += b->frequency;
-    for (const auto& child : b->children) stack.push_back(child.get());
-  }
-  return total;
+  return sthist::TotalFrequency(*root_);
 }
 
 // ---------------------------------------------------------------------------
@@ -224,15 +95,15 @@ double STHoles::TotalFrequency() const {
 
 void STHoles::Refine(const Box& query, const CardinalityOracle& oracle) {
   metrics_.refines.Inc();
-  obs::TraceSpan span("stholes.refine", metrics_.refine_seconds,
-                      metrics_.ring);
+  obs::ScopedTimer refine_timer(metrics_.refine_seconds);
   // Query boxes and oracle counts are untrusted: repair what is repairable,
   // drop what is not, and never abort.
   std::optional<Box> sanitized =
       SanitizeFeedbackQuery(root_->box, query, &stats_);
   if (!sanitized.has_value()) return;
   Box q = std::move(*sanitized);
-  if (q.Volume() <= MinVolume()) {
+  const double min_volume = MinRegionVolume(root_->box);
+  if (q.Volume() <= min_volume) {
     ++stats_.rejected_queries;
     return;
   }
@@ -248,7 +119,7 @@ void STHoles::Refine(const Box& query, const CardinalityOracle& oracle) {
 
   for (Bucket* b : intersecting) {
     Box candidate = ShrinkCandidate(*b, q);
-    if (candidate.Volume() <= MinVolume()) continue;
+    if (candidate.Volume() <= min_volume) continue;
     DrillHole(b, candidate, safe);
   }
 
@@ -269,74 +140,6 @@ void STHoles::CollectIntersecting(Bucket* b, const Box& query,
   }
 }
 
-Box STHoles::ShrinkCandidate(const Bucket& b, const Box& query) const {
-  Box c = b.box.Intersection(query);
-  const size_t dim = c.dim();
-
-  while (true) {
-    // A child that swallows the whole candidate means the queried region
-    // belongs to that hole, not to b: nothing to drill here.
-    const Bucket* participant = nullptr;
-    for (const auto& child : b.children) {
-      if (!child->box.Intersects(c)) continue;
-      if (child->box.Contains(c)) {
-        return Box::Cube(dim, c.lo(0), c.lo(0));  // Degenerate: volume 0.
-      }
-      if (!c.Contains(child->box)) {
-        participant = child.get();
-        break;
-      }
-    }
-    if (participant == nullptr) return c;
-
-    // Exclude some participant along the single dimension that preserves the
-    // most candidate volume (the STHoles greedy shrink). Re-scan all
-    // participants for the globally best cut.
-    double best_volume = -1.0;
-    size_t best_dim = 0;
-    bool best_cut_low = false;  // true: raise c.lo, false: lower c.hi.
-    double best_value = 0.0;
-    for (const auto& child : b.children) {
-      if (!child->box.Intersects(c) || c.Contains(child->box) ||
-          child->box.Contains(c)) {
-        continue;
-      }
-      for (size_t d = 0; d < dim; ++d) {
-        // Raise the low edge to the participant's high edge.
-        if (child->box.hi(d) > c.lo(d) && child->box.hi(d) < c.hi(d)) {
-          double v = c.Volume() / c.Extent(d) * (c.hi(d) - child->box.hi(d));
-          if (v > best_volume) {
-            best_volume = v;
-            best_dim = d;
-            best_cut_low = true;
-            best_value = child->box.hi(d);
-          }
-        }
-        // Lower the high edge to the participant's low edge.
-        if (child->box.lo(d) < c.hi(d) && child->box.lo(d) > c.lo(d)) {
-          double v = c.Volume() / c.Extent(d) * (child->box.lo(d) - c.lo(d));
-          if (v > best_volume) {
-            best_volume = v;
-            best_dim = d;
-            best_cut_low = false;
-            best_value = child->box.lo(d);
-          }
-        }
-      }
-    }
-    if (best_volume < 0.0) {
-      // No admissible cut (participants cover the candidate's extent in every
-      // cuttable dimension). Give up on this bucket.
-      return Box::Cube(dim, c.lo(0), c.lo(0));
-    }
-    if (best_cut_low) {
-      c.set_lo(best_dim, best_value);
-    } else {
-      c.set_hi(best_dim, best_value);
-    }
-  }
-}
-
 void STHoles::SetExactFrequency(Bucket* b, const CardinalityOracle& oracle) {
   double f = oracle.Count(b->box);
   for (const auto& child : b->children) {
@@ -354,12 +157,7 @@ void STHoles::DrillHole(Bucket* b, const Box& candidate,
   // Times the whole call, including the frequency-correction shortcuts; the
   // drills counter moves only when a hole bucket is actually created.
   obs::ScopedTimer drill_timer(metrics_.drill_seconds);
-  // Coordinate tolerance for box equality, relative to the domain scale.
-  double max_extent = 0.0;
-  for (size_t d = 0; d < root_->box.dim(); ++d) {
-    max_extent = std::max(max_extent, root_->box.Extent(d));
-  }
-  const double eps = kBoxEps * (1.0 + max_extent);
+  const double eps = DrillTolerance(root_->box);
 
   if (candidate.ApproxEquals(b->box, eps)) {
     // The query feedback covers b entirely: correct its frequency in place.
@@ -367,7 +165,6 @@ void STHoles::DrillHole(Bucket* b, const Box& candidate,
     return;
   }
 
-  // Children fully contained in the candidate migrate into the new hole.
   // A child whose box *is* the candidate just gets its frequency corrected —
   // unshared explicitly, because the tolerance can match a child the
   // collection descent skipped (zero-volume intersection under eps).
@@ -378,49 +175,15 @@ void STHoles::DrillHole(Bucket* b, const Box& candidate,
     }
   }
 
-  auto hole = std::make_shared<Bucket>();
-  hole->box = candidate;
-
-  // Moving child *handles* between the exclusively-owned b and the fresh
-  // hole never mutates the children themselves, so migrated subtrees may
-  // stay shared with snapshots.
-  double moved_mass = 0.0;
-  std::vector<std::shared_ptr<Bucket>> kept;
-  kept.reserve(b->children.size());
-  for (auto& child : b->children) {
-    if (candidate.Contains(child->box)) {
-      moved_mass += oracle.Count(child->box);
-      hole->children.push_back(std::move(child));
-    } else {
-      kept.push_back(std::move(child));
-    }
-  }
-  b->children = std::move(kept);
-
-  hole->frequency = std::max(oracle.Count(candidate) - moved_mass, 0.0);
-  if (!std::isfinite(hole->frequency)) {
-    ++stats_.repaired_buckets;
-    hole->frequency = 0.0;
-  }
-  b->frequency = std::max(b->frequency - hole->frequency, 0.0);
-  const size_t migrated_children = hole->children.size();
-  b->children.push_back(std::move(hole));
+  // b is exclusively owned (CollectIntersecting unshared it), so the
+  // carve may rewrite its children list.
+  const size_t migrated_children =
+      CarveHole(b, std::make_shared<Bucket>(), candidate, oracle, &stats_,
+                index_.get());
   ++bucket_count_;
   ++fresh_since_snapshot_;
   metrics_.drills.Inc();
   metrics_.migrated_children.Inc(migrated_children);
-
-  if (migrated_children > 0) {
-    // Children moved under the hole: slots shifted, the index is stale.
-    InvalidateIndex();
-  } else if (index_->ready.load(std::memory_order_relaxed)) {
-    // Pure append: existing slots are untouched, so the index follows
-    // incrementally instead of rebuilding.
-    index_->index.AppendChild(b);
-    metrics_.index_appends.Inc();
-  } else {
-    index_->estimates_since_change.store(0, std::memory_order_relaxed);
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -591,7 +354,7 @@ void STHoles::ApplyMerge(const MergeCandidate& merge) {
   metrics_.merges.Inc();
   // Every merge moves buckets between children lists; the index's
   // (parent, slot) references are stale either way.
-  InvalidateIndex();
+  index_->InvalidateIndex();
   Bucket* parent = merge.parent;
 
   if (merge.second == nullptr) {
@@ -697,9 +460,9 @@ std::unique_ptr<Histogram> STHoles::Clone() const {
       new STHoles(root_->box, root_->frequency, config_));
   clone->root_ = CopySubtree(*root_);
   clone->bucket_count_ = bucket_count_;
-  // Fold the estimate-path rejections (held as an atomic in IndexState) into
-  // the clone's plain counters so its robustness() totals match the source's
-  // at the moment of cloning; the clone's own IndexState starts at zero.
+  // Fold the estimate-path rejections (held as an atomic in index_) into the
+  // clone's plain counters so its robustness() totals match the source's at
+  // the moment of cloning; the clone's own index_ starts at zero.
   clone->stats_ = robustness();
   return clone;
 }
@@ -744,7 +507,7 @@ STHoles::Bucket* STHoles::EnsureExclusiveRoot() {
     ++fresh_since_snapshot_;
     metrics_.cow_copied.Inc();
     // The index holds raw pointers into the superseded node.
-    InvalidateIndex();
+    index_->InvalidateIndex();
   }
   return root_.get();
 }
@@ -759,7 +522,7 @@ STHoles::Bucket* STHoles::EnsureExclusiveChild(Bucket* parent, size_t slot) {
     ++cow_copied_total_;
     ++fresh_since_snapshot_;
     metrics_.cow_copied.Inc();
-    InvalidateIndex();
+    index_->InvalidateIndex();
   }
   return child.get();
 }
@@ -957,32 +720,7 @@ StatusOr<std::unique_ptr<STHoles>> STHoles::DeserializeBinary(
 }
 
 void STHoles::CheckInvariants() const {
-  size_t counted = 0;
-  std::vector<const Bucket*> stack = {root_.get()};
-  while (!stack.empty()) {
-    const Bucket* b = stack.back();
-    stack.pop_back();
-    ++counted;
-    CheckNode(*b);
-    for (const auto& child : b->children) stack.push_back(child.get());
-  }
-  STHIST_CHECK(counted == bucket_count_);
-}
-
-void STHoles::CheckNode(const Bucket& b) const {
-  STHIST_CHECK(b.frequency >= 0.0);
-  for (size_t i = 0; i < b.children.size(); ++i) {
-    STHIST_CHECK_MSG(b.box.Contains(b.children[i]->box),
-                     "child %s escapes parent %s",
-                     b.children[i]->box.ToString().c_str(),
-                     b.box.ToString().c_str());
-    for (size_t j = i + 1; j < b.children.size(); ++j) {
-      STHIST_CHECK_MSG(!b.children[i]->box.Intersects(b.children[j]->box),
-                       "siblings %s and %s overlap",
-                       b.children[i]->box.ToString().c_str(),
-                       b.children[j]->box.ToString().c_str());
-    }
-  }
+  CheckBucketTree(*root_, bucket_count_);
 }
 
 }  // namespace sthist

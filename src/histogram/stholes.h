@@ -14,15 +14,14 @@
 
 namespace sthist {
 
+template <typename BucketT>
+class LazyBucketIndex;
+
 /// Tuning knobs for STHoles.
 struct STHolesConfig {
   /// Bucket budget, excluding the fixed root bucket (matching the paper's
   /// convention that "a limit of one bucket" means one bucket plus the root).
   size_t max_buckets = 100;
-
-  /// Volumes at or below this fraction of the root volume are treated as
-  /// zero when deciding whether a candidate hole is worth drilling.
-  double min_volume_fraction = 1e-12;
 
   /// Registry receiving the histogram.stholes.* / index.bucket_tree.* metrics
   /// (DESIGN.md §13); nullptr means the process-wide GlobalMetrics(). Handles
@@ -162,17 +161,18 @@ class STHoles : public Histogram {
  protected:
   /// Batch amortization (base-class hook): builds the bucket index once up
   /// front so the fanned-out per-query estimates only ever probe.
-  void PrepareForBatch() const override { EnsureIndex(); }
+  void PrepareForBatch() const override;
 
  private:
   struct Bucket;
 
   // Metric handles (DESIGN.md §13), resolved once at construction from
-  // config.metrics (or GlobalMetrics()). Updates are relaxed atomics — or a
-  // single branch when the registry is disabled — and never feed back into
-  // any estimate or refinement decision, preserving the §9–§11 determinism
-  // contracts (tests/obs_test.cc holds an instrumented histogram to
-  // bit-identity against an uninstrumented twin).
+  // config.metrics (or GlobalMetrics()); the index.* handles live in the
+  // LazyBucketIndex. Updates are relaxed atomics — or a single branch when
+  // the registry is disabled — and never feed back into any estimate or
+  // refinement decision, preserving the §9–§11 determinism contracts
+  // (tests/obs_test.cc holds an instrumented histogram to bit-identity
+  // against an uninstrumented twin).
   struct Metrics {
     obs::Counter estimates;
     obs::Counter refines;
@@ -183,24 +183,12 @@ class STHoles : public Histogram {
     obs::LatencyHistogram refine_seconds;
     obs::LatencyHistogram drill_seconds;
     obs::LatencyHistogram merge_seconds;
-    obs::Counter index_builds;
-    obs::Counter index_appends;
-    obs::Counter index_invalidations;
-    obs::Counter index_probes;
-    obs::Counter index_node_visits;
-    // Flat-index probe work (DESIGN.md §15): probes served through the SoA
-    // path, SIMD-width entry blocks tested, and the dispatched kernel level
-    // (0 scalar, 1 AVX2, 2 NEON) as a gauge.
-    obs::Counter flat_probes;
-    obs::Counter flat_entry_blocks;
-    obs::Gauge flat_simd_level;
     // COW publish accounting (DESIGN.md §17): nodes path-copied by refines,
     // snapshots taken, and how much of the tree the latest snapshot shares
     // with its predecessor (total nodes minus nodes copied in between).
     obs::Counter cow_copied;
     obs::Counter cow_snapshots;
     obs::Gauge cow_shared;
-    obs::TraceRing* ring = nullptr;
   };
 
   // Deep copy of a bucket subtree, preserving child order (estimation sums
@@ -226,16 +214,8 @@ class STHoles : public Histogram {
   static bool FindPath(const Bucket* node, const Bucket* target,
                        std::vector<size_t>* slots);
 
-  // --- Geometry over the bucket tree ---
-  // Volume of the bucket's region (box minus child boxes).
-  static double RegionVolume(const Bucket& b);
-  // Volume of `query` ∩ region(b).
-  static double RegionIntersectionVolume(const Bucket& b, const Box& query);
-
-  // --- Estimation ---
-  double EstimateNode(const Bucket& b, const Box& query) const;
-
-  // --- Refinement ---
+  // --- Refinement (geometry, candidate shrinking and hole carving live in
+  // histogram/bucket_tree.h, shared with ISOMER) ---
   // Collects every bucket whose box has positive-volume intersection with
   // `query`, in pre-order, unsharing each collected node on the way down
   // (the intersecting set is upward-closed — a child's box is nested in its
@@ -243,9 +223,6 @@ class STHoles : public Histogram {
   // and every pointer returned is exclusively owned by this tree).
   void CollectIntersecting(Bucket* b, const Box& query,
                            std::vector<Bucket*>* out);
-  // Shrinks candidate = query ∩ box(b) until no child of b partially
-  // intersects it (STHoles §4.2). Returns the shrunken candidate.
-  Box ShrinkCandidate(const Bucket& b, const Box& query) const;
   // Drills `candidate` into bucket b with exact feedback from `oracle`.
   void DrillHole(Bucket* b, const Box& candidate,
                  const CardinalityOracle& oracle);
@@ -268,16 +245,6 @@ class STHoles : public Histogram {
   void ApplyMerge(const MergeCandidate& merge);
   void EnforceBudget();
 
-  double MinVolume() const;
-
-  void CheckNode(const Bucket& b) const;
-
-  // --- Bucket index maintenance (DESIGN.md §10) ---
-  // Builds the spatial index if it is not ready (thread-safe, idempotent).
-  void EnsureIndex() const;
-  // Marks the index stale after a structural change that moved buckets.
-  void InvalidateIndex();
-
   STHolesConfig config_;
   Metrics metrics_;
   // Owning handle of the bucket tree. shared_ptr because Snapshot() shares
@@ -297,13 +264,12 @@ class STHoles : public Histogram {
   size_t cow_copied_total_ = 0;
   mutable size_t fresh_since_snapshot_ = 0;
   // Refine-path degradation counters; Estimate-path rejections live in
-  // IndexState as an atomic (Estimate may run concurrently via
-  // EstimateBatch) and are merged in robustness().
+  // index_ as an atomic (Estimate may run concurrently via EstimateBatch)
+  // and are merged in robustness().
   RobustnessStats stats_;
-  // Spatial index over the bucket tree plus its build/validity state;
-  // defined in the .cc to keep the index machinery out of this header.
-  struct IndexState;
-  std::unique_ptr<IndexState> index_;
+  // Lazily built bucket index and read path (histogram/bucket_tree.h); held
+  // by pointer to keep the index machinery out of this header.
+  std::unique_ptr<LazyBucketIndex<Bucket>> index_;
 };
 
 }  // namespace sthist

@@ -13,6 +13,7 @@
 #include "histogram/registry.h"
 #include "histogram/stholes.h"
 #include "histogram/trivial.h"
+#include "init/initializer.h"
 #include "serve/snapshot_io.h"
 
 namespace sthist {
@@ -116,7 +117,7 @@ struct ServiceFleet::Reinit {
         // normalization baseline, not part of the faulted feedback path.
         trivial(std::make_unique<TrivialHistogram>(
             reinit.domain, ClampTotal(oracle.Count(reinit.domain)))) {
-    replay.reserve(std::min(reinit.replay_capacity, queue_capacity));
+    replay.reserve(std::min(kReplayCapacity, queue_capacity));
     triggers.cell = registry->counter("serve.reinit.triggers");
     swaps_completed.cell = registry->counter("serve.reinit.swaps_completed");
     swaps_aborted.cell = registry->counter("serve.reinit.swaps_aborted");
@@ -299,10 +300,10 @@ Status ServiceFleet::AddTenant(std::string_view key,
   // Per-shard cells, capped: the first top_k tenants ever added get their
   // own label, everyone after shares "other" (DESIGN.md §13 — the name set
   // must stay bounded however many tenants come and go).
-  const std::string label = labels_assigned_ < config_.top_k_shard_labels
+  const std::string label = labels_assigned_ < kTopKShardLabels
                                 ? SanitizeLabel(shard->key)
                                 : std::string("other");
-  if (labels_assigned_ < config_.top_k_shard_labels) ++labels_assigned_;
+  if (labels_assigned_ < kTopKShardLabels) ++labels_assigned_;
   shard->label_reads =
       registry_->counter("serve.fleet_shard_" + label + ".reads");
   shard->label_applied =
@@ -542,8 +543,7 @@ void ServiceFleet::ApplyFeedback(const std::shared_ptr<Shard>& shard,
     }
     if (fired && !reinit->inflight) StartRebuild(shard);
 
-    if (reinit->config.trivial_refresh > 0 &&
-        ++reinit->observed_since_refresh >= reinit->config.trivial_refresh) {
+    if (++reinit->observed_since_refresh >= kTrivialRefresh) {
       reinit->observed_since_refresh = 0;
       reinit->trivial = std::make_unique<TrivialHistogram>(
           reinit->config.domain,
@@ -552,7 +552,7 @@ void ServiceFleet::ApplyFeedback(const std::shared_ptr<Shard>& shard,
   }
   shard->working->Refine(feedback.query, *shard->refine_oracle);
   if (reinit != nullptr && reinit->inflight &&
-      reinit->replay.size() < reinit->config.replay_capacity) {
+      reinit->replay.size() < kReplayCapacity) {
     reinit->replay.push_back(feedback);
   }
 }
@@ -618,7 +618,7 @@ void ServiceFleet::RunRebuild(Shard* shard) const {
       auto stholes =
           std::make_unique<STHoles>(config.domain, total, hist_config);
       InitializeHistogram(clusters, config.domain, *oracle,
-                          config.initializer, stholes.get());
+                          InitializerConfig(), stholes.get());
       fresh = std::move(stholes);
     }
   }

@@ -21,7 +21,6 @@
 #include "core/status.h"
 #include "core/thread_pool.h"
 #include "histogram/histogram.h"
-#include "init/initializer.h"
 #include "obs/metrics.h"
 #include "serve/stagnation.h"
 #include "testing/fault_injection.h"
@@ -44,10 +43,10 @@ struct ReinitConfig {
   StagnationConfig detector;
   ReservoirConfig reservoir;
 
-  /// Clustering and initialization of the rebuilt histogram (paper §4.1 run
-  /// online over the reservoir instead of offline over the relation).
+  /// Clustering of the reservoir before the rebuilt histogram is
+  /// initialized (paper §4.1 run online over the reservoir instead of
+  /// offline over the relation; the initializer runs with its defaults).
   MineClusConfig mineclus;
-  InitializerConfig initializer;
 
   /// Bucket budget of rebuilt STHoles histograms.
   size_t max_buckets = 100;
@@ -59,18 +58,6 @@ struct ReinitConfig {
   /// rebuild inline on the pool worker that applied the triggering feedback,
   /// which makes the whole trigger→swap sequence deterministic for tests.
   bool background = true;
-
-  /// Feedback applied while a rebuild is in flight is also retained (up to
-  /// this many items) and replayed onto the rebuilt histogram before it
-  /// swaps in, so the swap does not forget the queries of the rebuild
-  /// window. Overflow is shed oldest-kept-first (the reservoir still saw
-  /// every item).
-  size_t replay_capacity = 4096;
-
-  /// The trivial control's total tuple count is re-read from the oracle
-  /// every this many observed feedback items (drift moves the row count;
-  /// a stale control skews the NAE). 0 disables refresh.
-  size_t trivial_refresh = 1024;
 
   /// Fault injection on the rebuild path: the oracle feeding the
   /// re-initializer is wrapped in a FaultyOracle with this config when
@@ -125,13 +112,6 @@ struct FleetConfig {
   /// driver derives from them (per-tenant workload seeds in fleet-sim and
   /// the tests) — replay bit-identically across runs and refiner counts.
   uint64_t seed = 0;
-
-  /// Cardinality cap for per-shard metric labels (DESIGN.md §13: the name
-  /// set must stay small and static). The first `top_k_shard_labels` tenants
-  /// ever added get their own `serve.fleet_shard_<label>.*` counters; every
-  /// later tenant aggregates into the shared `serve.fleet_shard_other.*`
-  /// cells, so the metric count is bounded no matter how many tenants live.
-  size_t top_k_shard_labels = 8;
 
   /// Registry receiving serve.fleet.* (DESIGN.md §13). Null means the
   /// process-wide obs::GlobalMetrics(). The fleet's own counters (stats())
@@ -250,6 +230,25 @@ struct TenantStats {
 /// const-thread-safe and outlive its tenant.
 class ServiceFleet {
  public:
+  /// Cardinality cap for per-shard metric labels (DESIGN.md §13: the name
+  /// set must stay small and static). The first kTopKShardLabels tenants
+  /// ever added get their own `serve.fleet_shard_<label>.*` counters; every
+  /// later tenant aggregates into the shared `serve.fleet_shard_other.*`
+  /// cells, so the metric count is bounded no matter how many tenants live.
+  static constexpr size_t kTopKShardLabels = 8;
+
+  /// Feedback applied while a re-init tenant's rebuild is in flight is also
+  /// retained (up to this many items) and replayed onto the rebuilt
+  /// histogram before it swaps in, so the swap does not forget the queries
+  /// of the rebuild window. Overflow is shed oldest-kept-first (the
+  /// reservoir still saw every item).
+  static constexpr size_t kReplayCapacity = 4096;
+
+  /// A re-init tenant's trivial control re-reads its total tuple count from
+  /// the oracle every this many observed feedback items (drift moves the
+  /// row count; a stale control skews the NAE).
+  static constexpr size_t kTrivialRefresh = 1024;
+
   explicit ServiceFleet(const FleetConfig& config = {});
 
   /// Stops the fleet (drains every shard, finishes in-flight rebuilds, and

@@ -129,19 +129,6 @@ TEST(MetricsConcurrencyTest, LatencyCountsExactAcrossWriters) {
   EXPECT_GT(latency.max_seconds(), obs::kLatencyBounds[kWriters - 2]);
 }
 
-TEST(MetricsConcurrencyTest, TraceRingKeepsMostRecentSpans) {
-  obs::TraceRing ring(8);
-  for (int i = 0; i < 20; ++i) {
-    ring.Record("span", static_cast<double>(i), 1.0);
-  }
-  std::vector<obs::SpanRecord> recent = ring.Recent();
-  ASSERT_EQ(recent.size(), 8u);
-  // Oldest first, and only the last 8 of the 20 recorded survive.
-  for (size_t i = 0; i < recent.size(); ++i) {
-    EXPECT_EQ(recent[i].start_seconds, static_cast<double>(12 + i));
-  }
-}
-
 // ---------------------------------------------------------------------------
 // JSON snapshot round-trip. The exporter writes a small, known subset of
 // JSON; this flat parser handles exactly that subset (no nesting beyond the
@@ -324,7 +311,6 @@ TEST(MetricsDisabledTest, DisabledHandlesDoNotAllocate) {
   EXPECT_EQ(counter.value(), 0u);
   EXPECT_EQ(gauge.value(), 0.0);
   EXPECT_EQ(latency.count(), 0u);
-  EXPECT_EQ(disabled->ring(), nullptr);
 }
 
 TEST(MetricsDisabledTest, GlobalDefaultIsDisabledNullObject) {
@@ -359,7 +345,6 @@ TEST(MetricsDifferentialTest, InstrumentedEstimatesBitwiseIdentical) {
   Workload workload = MakeWorkload(g.domain, wc);
 
   MetricsRegistry registry;
-  registry.EnableTracing();
 
   STHolesConfig instrumented_config;
   instrumented_config.max_buckets = 60;
@@ -382,8 +367,8 @@ TEST(MetricsDifferentialTest, InstrumentedEstimatesBitwiseIdentical) {
               std::bit_cast<uint64_t>(plain.Estimate(q)));
   }
 
-  // And the instrumentation did observe the work: refinement counters,
-  // stage latencies, and ring spans are all populated.
+  // And the instrumentation did observe the work: refinement counters and
+  // stage latencies are populated.
   EXPECT_EQ(registry.counter("histogram.stholes.refines").value(),
             workload.size());
   EXPECT_GT(registry.counter("histogram.stholes.drills").value(), 0u);
@@ -396,8 +381,6 @@ TEST(MetricsDifferentialTest, InstrumentedEstimatesBitwiseIdentical) {
     }
   }
   EXPECT_TRUE(found_refine_latency);
-  ASSERT_NE(registry.ring(), nullptr);
-  EXPECT_FALSE(registry.ring()->Recent().empty());
 }
 
 TEST(MetricsDifferentialTest, BatchMatchesSerialOnInstrumentedHistogram) {
@@ -446,7 +429,6 @@ TEST(FleetMetricsTest, NamesFollowLayerComponentNameScheme) {
   MetricsRegistry registry;
   FleetConfig config;
   config.refiners = 1;
-  config.top_k_shard_labels = 3;
   config.metrics = &registry;
   ServiceFleet fleet(config);
 
@@ -500,7 +482,6 @@ TEST(FleetMetricsTest, MetricCountBoundedPastTheTopKLabelCap) {
   MetricsRegistry registry;
   FleetConfig config;
   config.refiners = 2;
-  config.top_k_shard_labels = 3;
   config.metrics = &registry;
   ServiceFleet fleet(config);
 
@@ -517,9 +498,10 @@ TEST(FleetMetricsTest, MetricCountBoundedPastTheTopKLabelCap) {
         fleet.AddTenant("tenant_" + std::to_string(t), make_hist(), executor)
             .ok());
   }
-  // 3 labeled shards × 2 cells + the shared "other" pair.
+  // 12 tenants pass the cap: 8 labeled shards × 2 cells + the shared
+  // "other" pair.
   const size_t capped = shard_label_metrics();
-  EXPECT_EQ(capped, 2u * (config.top_k_shard_labels + 1));
+  EXPECT_EQ(capped, 2u * (ServiceFleet::kTopKShardLabels + 1));
   const size_t total_at_12 = registry.Snapshot().total_metrics();
 
   // Growing the fleet well past the cap must not add a single metric; churn

@@ -13,18 +13,24 @@
 //
 // Exit codes: 0 success; 1 runtime failure (unreadable/malformed input,
 // failed write — the Status message is printed to stderr); 2 usage error
-// (unknown subcommand or flag).
+// (unknown subcommand or flag, malformed number).
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <initializer_list>
 #include <map>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -33,6 +39,7 @@
 #include "clustering/doc.h"
 #include "clustering/mineclus.h"
 #include "core/binfmt.h"
+#include "core/check.h"
 #include "core/rng.h"
 #include "core/status.h"
 #include "core/thread_pool.h"
@@ -66,6 +73,61 @@ constexpr int kExitUsage = 2;
 // Tiny flag parser: --name value and boolean --name.
 // ---------------------------------------------------------------------------
 
+// Flags whose value is a count: plain decimal digits, fitting size_t. Zero
+// keeps whatever meaning the flag gives it (--batch 0, --pace 0, ...).
+constexpr std::string_view kCountFlags[] = {
+    "batch", "buckets", "dim", "drift-phases", "drift-seed", "drift-tuples",
+    "fault-reinit-seed", "fault-seed", "max-clusters", "max-dims", "pace",
+    "publish-batch", "queries", "queue-cap", "readers", "refiners",
+    "reinit-backstop", "reinit-buckets", "reinit-cooldown",
+    "reinit-reservoir", "reinit-window", "seed", "sim", "snapshot-every",
+    "tenants", "threads", "train", "tuples", "xi"};
+
+// Flags whose value is a finite, non-negative real.
+constexpr std::string_view kRealFlags[] = {
+    "alpha", "beta", "drift-span", "fault-noise", "fault-rate",
+    "fault-reinit-rate", "reinit-rearm", "reinit-trigger", "tau", "volume",
+    "width"};
+
+bool IsIn(std::string_view name, std::span<const std::string_view> names) {
+  return std::find(names.begin(), names.end(), name) != names.end();
+}
+
+std::optional<size_t> ParseCount(std::string_view text) {
+  size_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
+}
+
+std::optional<double> ParseReal(const std::string& text) {
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  if (text.empty() || end != text.c_str() + text.size() ||
+      !std::isfinite(value) || value < 0.0) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+// Splits "50,100,250" into counts; nullopt if any item is not a count.
+std::optional<std::vector<size_t>> ParseCountList(std::string_view text) {
+  std::vector<size_t> values;
+  while (true) {
+    const size_t comma = text.find(',');
+    const std::optional<size_t> value = ParseCount(text.substr(0, comma));
+    if (!value.has_value()) return std::nullopt;
+    values.push_back(*value);
+    if (comma == std::string_view::npos) return values;
+    text.remove_prefix(comma + 1);
+  }
+}
+
+// Usage errors exit 2 and print the usage text; every other failure exits 1.
+constexpr char kUnknownFlag[] = "unknown flag: ";
+constexpr char kMalformedNumber[] = "malformed number: ";
+
 class Flags {
  public:
   Flags(int argc, char** argv, int first) {
@@ -87,18 +149,32 @@ class Flags {
   const Status& error() const { return error_; }
 
   /// Rejects any flag not in `allowed`, so typos fail loudly instead of
-  /// silently falling back to defaults.
-  Status CheckAllowed(std::initializer_list<const char*> allowed) const {
-    for (const auto& [name, unused_value] : values_) {
-      bool known = false;
-      for (const char* candidate : allowed) {
-        if (name == candidate) {
-          known = true;
-          break;
-        }
+  /// silently falling back to defaults, and any malformed number, so bad
+  /// input never aborts or runs with a garbage value (DESIGN.md §8). Flags
+  /// in `lists` take comma-separated counts. Every command calls this
+  /// before it does any work.
+  Status CheckAllowed(std::initializer_list<const char*> allowed,
+                      std::initializer_list<const char*> lists = {}) const {
+    for (const auto& [name, value] : values_) {
+      auto named = [&name](const char* flag) { return name == flag; };
+      if (std::none_of(allowed.begin(), allowed.end(), named)) {
+        return Status::InvalidArgument(kUnknownFlag + ("--" + name));
       }
-      if (!known) {
-        return Status::InvalidArgument("unknown flag: --" + name);
+      const char* expected = nullptr;
+      if (std::any_of(lists.begin(), lists.end(), named)) {
+        if (!ParseCountList(value)) expected = "comma-separated integers";
+      } else if (IsIn(name, kCountFlags)) {
+        // Bare --batch means hardware concurrency.
+        if (!ParseCount(value) && !(name == "batch" && value.empty())) {
+          expected = "a non-negative integer";
+        }
+      } else if (IsIn(name, kRealFlags) && !ParseReal(value)) {
+        expected = "a finite non-negative number";
+      }
+      if (expected != nullptr) {
+        return Status::InvalidArgument(kMalformedNumber + ("--" + name) +
+                                       " '" + value + "' (expected " +
+                                       expected + ")");
       }
     }
     return Status::Ok();
@@ -111,14 +187,33 @@ class Flags {
     return it == values_.end() ? fallback : it->second;
   }
 
+  // The numeric accessors read values CheckAllowed has validated.
   double Num(const std::string& name, double fallback) const {
     auto it = values_.find(name);
-    return it == values_.end() ? fallback : std::strtod(it->second.c_str(),
-                                                        nullptr);
+    if (it == values_.end()) return fallback;
+    const std::optional<double> value = ParseReal(it->second);
+    STHIST_CHECK_MSG(value.has_value(), "--%s is not a validated real",
+                     name.c_str());
+    return *value;
   }
 
   size_t Size(const std::string& name, size_t fallback) const {
-    return static_cast<size_t>(Num(name, static_cast<double>(fallback)));
+    auto it = values_.find(name);
+    // An empty value passes CheckAllowed only as bare --batch.
+    if (it == values_.end() || it->second.empty()) return fallback;
+    const std::optional<size_t> value = ParseCount(it->second);
+    STHIST_CHECK_MSG(value.has_value(), "--%s is not a validated count",
+                     name.c_str());
+    return *value;
+  }
+
+  std::vector<size_t> SizeList(const std::string& name,
+                               const std::string& fallback) const {
+    const std::optional<std::vector<size_t>> values =
+        ParseCountList(Str(name, fallback));
+    STHIST_CHECK_MSG(values.has_value(), "--%s is not a validated list",
+                     name.c_str());
+    return *values;
   }
 
  private:
@@ -165,7 +260,7 @@ StatusOr<GeneratedData> ResolveDataset(const Flags& flags) {
   }
 
   std::string name = flags.Str("dataset", "cross");
-  uint64_t seed = static_cast<uint64_t>(flags.Num("seed", 0));
+  uint64_t seed = flags.Size("seed", 0);
   if (name == "cross" || name == "crossnd") {
     CrossConfig config;
     config.dim = flags.Size("dim", 2);
@@ -209,7 +304,7 @@ StatusOr<GeneratedData> ResolveDataset(const Flags& flags) {
 FaultConfig FaultsFromFlags(const Flags& flags) {
   FaultConfig faults;
   faults.rate = flags.Num("fault-rate", 0.0);
-  faults.seed = static_cast<uint64_t>(flags.Num("fault-seed", 99));
+  faults.seed = flags.Size("fault-seed", 99);
   faults.noise_factor = flags.Num("fault-noise", faults.noise_factor);
   return faults;
 }
@@ -270,26 +365,6 @@ StatusOr<std::unique_ptr<SubspaceClusterer>> ClustererFromFlags(
   }
   return Status::NotFound("unknown clusterer: " + name +
                           " (try mineclus, clique, doc)");
-}
-
-// Parses a comma-separated list of non-negative integers ("50,100,250").
-StatusOr<std::vector<size_t>> ParseSizeList(const std::string& text) {
-  std::vector<size_t> values;
-  size_t pos = 0;
-  while (pos <= text.size()) {
-    size_t comma = text.find(',', pos);
-    std::string item = text.substr(
-        pos, comma == std::string::npos ? std::string::npos : comma - pos);
-    char* end = nullptr;
-    unsigned long value = std::strtoul(item.c_str(), &end, 10);
-    if (item.empty() || end == nullptr || *end != '\0') {
-      return Status::InvalidArgument("malformed list item: '" + item + "'");
-    }
-    values.push_back(static_cast<size_t>(value));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return values;
 }
 
 // Folds the little-endian bytes of `value` into an FNV-1a digest.
@@ -442,21 +517,15 @@ Status RunSweepCommand(const Flags& flags) {
       {STHIST_COMMON_FLAGS, STHIST_DATASET_FLAGS, STHIST_CLUSTER_FLAGS,
        STHIST_FAULT_FLAGS, "buckets", "seeds", "train", "sim", "volume",
        "init", "both", "reversed", "freeze", "data-centers", "threads",
-       "estimator"}));
+       "estimator"},
+      /*lists=*/{"buckets", "seeds"}));
   StatusOr<GeneratedData> g = ResolveDataset(flags);
   if (!g.ok()) return g.status();
   STHIST_RETURN_IF_ERROR(MaybeInjectDataFaults(flags, &*g));
   Experiment experiment(*std::move(g));
 
-  StatusOr<std::vector<size_t>> buckets =
-      ParseSizeList(flags.Str("buckets", "50,100,250"));
-  if (!buckets.ok()) return buckets.status();
-  StatusOr<std::vector<size_t>> seeds =
-      ParseSizeList(flags.Str("seeds", "21"));
-  if (!seeds.ok()) return seeds.status();
-  if (buckets->empty() || seeds->empty()) {
-    return Status::InvalidArgument("--buckets and --seeds must be non-empty");
-  }
+  const std::vector<size_t> buckets = flags.SizeList("buckets", "50,100,250");
+  const std::vector<size_t> seeds = flags.SizeList("seeds", "21");
 
   size_t threads = flags.Size("threads", 0);  // 0 = hardware concurrency.
 
@@ -485,8 +554,8 @@ Status RunSweepCommand(const Flags& flags) {
   }
 
   std::vector<ExperimentConfig> configs;
-  for (size_t seed : *seeds) {
-    for (size_t b : *buckets) {
+  for (size_t seed : seeds) {
+    for (size_t b : buckets) {
       for (bool init : variants) {
         ExperimentConfig config = base;
         config.workload_seed = seed;
@@ -733,7 +802,7 @@ Status RunServeSimDrift(const Flags& flags) {
   DriftConfig dc;
   dc.scenario = *scenario;
   dc.phases = flags.Size("drift-phases", 4);
-  dc.seed = static_cast<uint64_t>(flags.Num("drift-seed", 17));
+  dc.seed = flags.Size("drift-seed", 17);
   dc.dim = flags.Size("dim", 2);
   dc.tuples = flags.Size("drift-tuples", 22000);
   dc.move_span = flags.Num("drift-span", 0.6);
@@ -796,7 +865,7 @@ Status RunServeSimDrift(const Flags& flags) {
   reinit.background = !flags.Has("reinit-sync");
   reinit.rebuild_faults.rate = flags.Num("fault-reinit-rate", 0.0);
   reinit.rebuild_faults.seed =
-      static_cast<uint64_t>(flags.Num("fault-reinit-seed", 99));
+      flags.Size("fault-reinit-seed", 99);
   ServiceFleet fleet(*fc);
   STHIST_RETURN_IF_ERROR(
       fleet.AddTenant(kServeTenant, std::move(hist), oracle, options));
@@ -1224,7 +1293,7 @@ Status RunFleetSim(const Flags& flags) {
   const size_t buckets = flags.Size("buckets", 24);
   const size_t readers = flags.Size("readers", 0);
   const size_t pace = flags.Size("pace", 0);
-  uint64_t seed = static_cast<uint64_t>(flags.Num("seed", 1));
+  uint64_t seed = flags.Size("seed", 1);
 
   // --restore hands the fleet off from an "STHF" snapshot: tenant count,
   // keys, seed, and per-tenant histograms all come from the file (so the
@@ -1572,7 +1641,6 @@ int main(int argc, char** argv) {
   // Process-wide metrics: installed before any instrumented component is
   // constructed, exported after the command finishes (--metrics-json).
   obs::MetricsRegistry registry;
-  registry.EnableTracing();
   obs::SetGlobalMetrics(&registry);
 
   Status status;
@@ -1615,7 +1683,8 @@ int main(int argc, char** argv) {
   if (!status.ok()) {
     std::fprintf(stderr, "%s\n", status.ToString().c_str());
     if (status.code() == StatusCode::kInvalidArgument &&
-        status.message().rfind("unknown flag:", 0) == 0) {
+        (status.message().rfind(kUnknownFlag, 0) == 0 ||
+         status.message().rfind(kMalformedNumber, 0) == 0)) {
       PrintUsage();
       return kExitUsage;
     }
