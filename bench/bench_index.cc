@@ -1,11 +1,11 @@
 // Demonstrates the bucket-index payoff (DESIGN.md §10, §15): single-thread
 // estimation throughput of the indexed STHoles::Estimate (served through
 // the flat SoA index) versus the linear full-tree scan at 1k / 10k / 50k
-// buckets, plus the additional factor from batching over all cores. Every
-// indexed estimate is verified bitwise against the linear reference before
-// timing, so the reported speedup is for *identical* answers. The indexed
-// path must hold >= 5x at 10k and at 50k buckets; those two speedups are
-// what the perf-smoke CI leg gates against bench/baselines/BENCH_index.json.
+// buckets. Every indexed estimate is verified bitwise against the linear
+// reference before timing, so the reported speedup is for *identical*
+// answers. The indexed path must hold >= 5x at 10k and at 50k buckets; those
+// two speedups are what the perf-smoke CI leg gates against
+// bench/baselines/BENCH_index.json.
 //
 // Large bucket trees are synthesized as STHB snapshots (a root over
 // [0,1000]^2 holding a g x g grid of child buckets) and loaded through
@@ -59,12 +59,6 @@ std::string GridHistogramBlob(size_t g) {
   return binfmt::Frame("STHB", STHoles::kBinaryFormatVersion, payload);
 }
 
-double Seconds(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
 struct Throughput {
   double queries_per_second = 0.0;
   double checksum = 0.0;  // Defeats dead-code elimination.
@@ -77,7 +71,9 @@ Throughput Measure(const Workload& queries, size_t reps, EstimateFn&& fn) {
   for (size_t r = 0; r < reps; ++r) {
     for (const Box& q : queries) t.checksum += fn(q);
   }
-  const double seconds = Seconds(start);
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
   t.queries_per_second =
       static_cast<double>(reps * queries.size()) / seconds;
   return t;
@@ -92,8 +88,8 @@ int main(int argc, char** argv) {
   const size_t grids[] = {32, 100, 224};
 
   std::printf("probe kernel: %s\n", simd::LevelName(simd::ActiveLevel()));
-  std::printf("%9s %14s %14s %8s %14s %8s\n", "buckets", "linear q/s",
-              "indexed q/s", "speedup", "batch q/s", "speedup");
+  std::printf("%9s %14s %14s %8s\n", "buckets", "linear q/s", "indexed q/s",
+              "speedup");
 
   bool ok = true;
   double speedup_10k = 0.0;
@@ -117,7 +113,7 @@ int main(int argc, char** argv) {
     const Workload queries = MakeWorkload(hist->domain(), wc);
 
     // Warm the lazily built index so the timed region measures steady state.
-    (void)hist->EstimateBatch(queries, 1);
+    for (const Box& q : queries) (void)hist->Estimate(q);
 
     // Bitwise identity check before timing: the speedup below is only
     // meaningful because the answers are exactly the same.
@@ -139,16 +135,6 @@ int main(int argc, char** argv) {
     const Throughput indexed = Measure(
         queries, reps, [&](const Box& q) { return hist->Estimate(q); });
 
-    // Batch path over all cores; same per-query work, fanned out.
-    double batch_checksum = 0.0;
-    auto start = std::chrono::steady_clock::now();
-    const size_t batch_reps = reps * 4;
-    for (size_t r = 0; r < batch_reps; ++r) {
-      for (double e : hist->EstimateBatch(queries, 0)) batch_checksum += e;
-    }
-    const double batch_qps =
-        static_cast<double>(batch_reps * queries.size()) / Seconds(start);
-
     if (linear.checksum != indexed.checksum) {
       std::fprintf(stderr, "checksum drift at g=%zu\n", g);
       return 1;
@@ -156,10 +142,9 @@ int main(int argc, char** argv) {
 
     const double speedup = indexed.queries_per_second /
                            linear.queries_per_second;
-    std::printf("%9zu %14.0f %14.0f %7.1fx %14.0f %7.1fx\n",
-                hist->bucket_count(), linear.queries_per_second,
-                indexed.queries_per_second, speedup, batch_qps,
-                batch_qps / linear.queries_per_second);
+    std::printf("%9zu %14.0f %14.0f %7.1fx\n", hist->bucket_count(),
+                linear.queries_per_second, indexed.queries_per_second,
+                speedup);
     if (g == 100) speedup_10k = speedup;
     if (g == 224) speedup_50k = speedup;
     // The acceptance bar: >= 5x single-thread at 10k and at 50k buckets.
@@ -168,7 +153,6 @@ int main(int argc, char** argv) {
                    speedup, hist->bucket_count());
       ok = false;
     }
-    (void)batch_checksum;
   }
 
   if (!sthist::bench::WriteBenchArtifact(

@@ -55,11 +55,11 @@ Fixture& FixtureFor(int64_t buckets) {
   return *fixtures[slot];
 }
 
-// Indexed path (the production Estimate, served through the bucket R-tree
-// after its lazy build).
+// Indexed path (the production Estimate, served through the flat bucket
+// index after its lazy build).
 void BM_Estimate(benchmark::State& state) {
   Fixture& f = FixtureFor(state.range(0));
-  (void)f.hist->EstimateBatch(f.queries, 1);  // Force the index build.
+  for (const Box& q : f.queries) (void)f.hist->Estimate(q);  // Build the index.
   size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(f.hist->Estimate(f.queries[i]));
@@ -82,22 +82,8 @@ void BM_EstimateLinear(benchmark::State& state) {
       static_cast<double>(f.hist->bucket_count());
 }
 
-// Whole-workload batch over hardware threads; reported time covers all 200
-// queries, so items_per_second is the comparable throughput number.
-void BM_EstimateBatch(benchmark::State& state) {
-  Fixture& f = FixtureFor(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(f.hist->EstimateBatch(f.queries, 0));
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(f.queries.size()));
-  state.counters["buckets"] =
-      static_cast<double>(f.hist->bucket_count());
-}
-
 BENCHMARK(BM_Estimate)->Arg(10)->Arg(50)->Arg(100)->Arg(250);
 BENCHMARK(BM_EstimateLinear)->Arg(10)->Arg(50)->Arg(100)->Arg(250);
-BENCHMARK(BM_EstimateBatch)->Arg(10)->Arg(50)->Arg(100)->Arg(250);
 
 // KDE counterpart at matched budgets: sample_capacity plays the role of the
 // bucket count (both are the per-query O(budget · dim) estimation dial).
@@ -140,7 +126,7 @@ KdeFixture& KdeFixtureFor(int64_t capacity) {
 // SoA plane path (the production Estimate, after the lazy plane build).
 void BM_KdeEstimate(benchmark::State& state) {
   KdeFixture& f = KdeFixtureFor(state.range(0));
-  (void)f.hist->EstimateBatch(f.queries, 1);  // Force the plane build.
+  for (const Box& q : f.queries) (void)f.hist->Estimate(q);  // Build planes.
   size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(f.hist->Estimate(f.queries[i]));
@@ -160,19 +146,8 @@ void BM_KdeEstimateLinear(benchmark::State& state) {
   state.counters["buckets"] = static_cast<double>(f.hist->bucket_count());
 }
 
-void BM_KdeEstimateBatch(benchmark::State& state) {
-  KdeFixture& f = KdeFixtureFor(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(f.hist->EstimateBatch(f.queries, 0));
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(f.queries.size()));
-  state.counters["buckets"] = static_cast<double>(f.hist->bucket_count());
-}
-
 BENCHMARK(BM_KdeEstimate)->Arg(10)->Arg(50)->Arg(100)->Arg(250);
 BENCHMARK(BM_KdeEstimateLinear)->Arg(10)->Arg(50)->Arg(100)->Arg(250);
-BENCHMARK(BM_KdeEstimateBatch)->Arg(10)->Arg(50)->Arg(100)->Arg(250);
 
 }  // namespace
 

@@ -54,10 +54,23 @@ class UnionFind {
 
 }  // namespace
 
+Status Validate(const CliqueConfig& config) {
+  if (config.xi < 2) {
+    return StatusF(StatusCode::kInvalidArgument, "xi must be >= 2, got %zu",
+                   config.xi);
+  }
+  if (!(config.tau > 0.0)) {
+    return StatusF(StatusCode::kInvalidArgument,
+                   "tau must be positive, got %g", config.tau);
+  }
+  if (config.max_dims < 1) {
+    return Status::InvalidArgument("max_dims must be >= 1");
+  }
+  return Status::Ok();
+}
+
 CliqueClusterer::CliqueClusterer(CliqueConfig config) : config_(config) {
-  STHIST_CHECK(config.xi >= 2);
-  STHIST_CHECK(config.tau > 0.0);
-  STHIST_CHECK(config.max_dims >= 1);
+  STHIST_CHECK(Validate(config).ok());
 }
 
 std::vector<SubspaceCluster> CliqueClusterer::Cluster(

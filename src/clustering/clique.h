@@ -31,6 +31,10 @@ struct CliqueConfig {
   size_t max_clusters = 64;
 };
 
+/// Range checks on the settings above (xi >= 2, a positive tau,
+/// max_dims >= 1); the CliqueClusterer constructor CHECKs them.
+Status Validate(const CliqueConfig& config);
+
 /// Bottom-up grid-density subspace clustering.
 ///
 /// CLIQUE finds dense axis-parallel grid units level by level: the dense

@@ -8,11 +8,21 @@
 
 namespace sthist {
 
+Status Validate(const DocConfig& config) {
+  // DOC's window settings mean what MineClus's do, over the same ranges.
+  MineClusConfig window;
+  window.alpha = config.alpha;
+  window.beta = config.beta;
+  window.width_fraction = config.width_fraction;
+  STHIST_RETURN_IF_ERROR(Validate(window));
+  if (config.discriminating_set_size < 1) {
+    return Status::InvalidArgument("discriminating_set_size must be >= 1");
+  }
+  return Status::Ok();
+}
+
 DocClusterer::DocClusterer(DocConfig config) : config_(config) {
-  STHIST_CHECK(config.alpha > 0.0 && config.alpha <= 1.0);
-  STHIST_CHECK(config.beta > 0.0 && config.beta <= 1.0);
-  STHIST_CHECK(config.width_fraction > 0.0);
-  STHIST_CHECK(config.discriminating_set_size >= 1);
+  STHIST_CHECK(Validate(config).ok());
 }
 
 std::vector<SubspaceCluster> DocClusterer::Cluster(const Dataset& data,

@@ -38,6 +38,11 @@ struct DocConfig {
   uint64_t seed = 17;
 };
 
+/// Range checks on the settings above (alpha and beta in (0, 1], a positive
+/// width, a non-empty discriminating set); the DocClusterer constructor
+/// CHECKs them.
+Status Validate(const DocConfig& config);
+
 /// Monte-Carlo projected clustering.
 ///
 /// DOC guesses a cluster by sampling a medoid p and a small discriminating

@@ -68,13 +68,28 @@ void MergeSimilar(const Dataset& data, double gain,
 
 }  // namespace
 
+Status Validate(const MineClusConfig& config) {
+  if (!(config.alpha > 0.0 && config.alpha <= 1.0)) {
+    return StatusF(StatusCode::kInvalidArgument,
+                   "alpha must be in (0,1], got %g", config.alpha);
+  }
+  if (!(config.beta > 0.0 && config.beta <= 1.0)) {
+    return StatusF(StatusCode::kInvalidArgument,
+                   "beta must be in (0,1], got %g", config.beta);
+  }
+  if (!(config.width_fraction > 0.0)) {
+    return StatusF(StatusCode::kInvalidArgument,
+                   "width_fraction must be positive, got %g",
+                   config.width_fraction);
+  }
+  return Status::Ok();
+}
+
 std::vector<SubspaceCluster> RunMineClus(const Dataset& data,
                                          const Box& domain,
                                          const MineClusConfig& config) {
   STHIST_CHECK(data.dim() == domain.dim());
-  STHIST_CHECK(config.alpha > 0.0 && config.alpha <= 1.0);
-  STHIST_CHECK(config.beta > 0.0 && config.beta <= 1.0);
-  STHIST_CHECK(config.width_fraction > 0.0);
+  STHIST_CHECK(Validate(config).ok());
 
   obs::MetricsRegistry* reg = obs::GlobalMetrics();
   obs::Counter rounds_metric = reg->counter("clustering.mineclus.rounds");

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/box.h"
+#include "core/status.h"
 #include "data/dataset.h"
 
 namespace sthist {
@@ -45,6 +46,10 @@ struct MineClusConfig {
 
   uint64_t seed = 11;
 };
+
+/// Range checks on the settings above (alpha and beta in (0, 1], a positive
+/// width); RunMineClus CHECKs them.
+Status Validate(const MineClusConfig& config);
 
 /// One projected (subspace) cluster found by MineClus.
 struct SubspaceCluster {

@@ -9,34 +9,27 @@
 namespace sthist {
 
 double MeanAbsoluteError(const Histogram& hist, const Workload& workload,
-                         const CardinalityOracle& oracle, size_t threads) {
+                         const CardinalityOracle& oracle) {
   STHIST_CHECK(!workload.empty());
-  // Estimates fan out; the |est - real| accumulation stays in workload
-  // order, so the sum is bitwise-identical at any thread count.
-  std::vector<double> estimates = hist.EstimateBatch(workload, threads);
   double total = 0.0;
-  for (size_t i = 0; i < workload.size(); ++i) {
-    total += std::abs(estimates[i] - oracle.Count(workload[i]));
+  for (const Box& q : workload) {
+    total += std::abs(hist.Estimate(q) - oracle.Count(q));
   }
   return total / static_cast<double>(workload.size());
 }
 
 double SimulateAndMeasure(Histogram* hist, const Workload& workload,
-                          const CardinalityOracle& oracle, bool learn,
-                          size_t threads) {
-  return SimulateAndMeasure(hist, workload, oracle, oracle, learn, threads);
+                          const CardinalityOracle& oracle, bool learn) {
+  return SimulateAndMeasure(hist, workload, oracle, oracle, learn);
 }
 
 double SimulateAndMeasure(Histogram* hist, const Workload& workload,
                           const CardinalityOracle& measure_oracle,
                           const CardinalityOracle& feedback_oracle,
-                          bool learn, size_t threads) {
+                          bool learn) {
   STHIST_CHECK(hist != nullptr);
   STHIST_CHECK(!workload.empty());
-  if (!learn) {
-    // Frozen histogram: pure measurement, so the estimates batch cleanly.
-    return MeanAbsoluteError(*hist, workload, measure_oracle, threads);
-  }
+  if (!learn) return MeanAbsoluteError(*hist, workload, measure_oracle);
   double total = 0.0;
   for (const Box& q : workload) {
     total += std::abs(hist->Estimate(q) - measure_oracle.Count(q));

@@ -14,34 +14,24 @@ namespace sthist {
 /// Mean absolute estimation error over a workload (paper eq. 9):
 /// E(H, W) = (1/|W|) * sum_q |est(H, q) - real(q)|.
 /// Does not refine the histogram.
-///
-/// Estimates run through Histogram::EstimateBatch over `threads` workers
-/// (0 = hardware concurrency); the error accumulates in workload order, so
-/// the result is bitwise-identical at any thread count.
 double MeanAbsoluteError(const Histogram& hist, const Workload& workload,
-                         const CardinalityOracle& oracle, size_t threads = 1);
+                         const CardinalityOracle& oracle);
 
 /// Runs the workload as a simulation: measures |est - real| for each query
 /// and, when `learn` is true, refines the histogram with the query's
 /// feedback before moving on (the paper's default simulation mode). Returns
 /// the mean absolute error across the workload.
 double SimulateAndMeasure(Histogram* hist, const Workload& workload,
-                          const CardinalityOracle& oracle, bool learn,
-                          size_t threads = 1);
+                          const CardinalityOracle& oracle, bool learn);
 
 /// Variant with distinct oracles for measurement and refinement feedback.
 /// Fault-injection runs measure true accuracy against `measure_oracle`
 /// (the real engine) while the histogram learns from the possibly-corrupted
 /// `feedback_oracle`.
-///
-/// `threads` applies only when `learn` is false: a frozen histogram's
-/// estimates are batched through EstimateBatch (bitwise-identical to the
-/// serial loop). Learning simulations are inherently sequential — each
-/// refinement must see the estimate before it — and ignore `threads`.
 double SimulateAndMeasure(Histogram* hist, const Workload& workload,
                           const CardinalityOracle& measure_oracle,
                           const CardinalityOracle& feedback_oracle,
-                          bool learn, size_t threads = 1);
+                          bool learn);
 
 /// Trains the histogram on the workload (refinement only, no measurement).
 void Train(Histogram* hist, const Workload& workload,

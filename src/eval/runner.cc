@@ -156,13 +156,11 @@ ExperimentResult Experiment::RunWithWorkloads(const ExperimentConfig& config,
 
   auto sim_start = std::chrono::steady_clock::now();
   result.mae = SimulateAndMeasure(&hist, sim, executor_, feedback,
-                                  config.learn_during_sim,
-                                  config.estimate_threads);
+                                  config.learn_during_sim);
   result.sim_seconds = SecondsSince(sim_start);
 
   TrivialHistogram trivial(generated_.domain, total_tuples());
-  result.trivial_mae =
-      MeanAbsoluteError(trivial, sim, executor_, config.estimate_threads);
+  result.trivial_mae = MeanAbsoluteError(trivial, sim, executor_);
   // A zero-error trivial baseline leaves nothing to normalize against;
   // report NaN (rendered "n/a") rather than a fake perfect 0.0.
   result.nae = result.trivial_mae > 0.0

@@ -49,14 +49,6 @@ struct ExperimentConfig {
   /// this off to isolate the effect of training volume.
   bool learn_during_sim = true;
 
-  /// Threads for batched estimation (Histogram::EstimateBatch) during the
-  /// measurement passes: the trivial-baseline MAE always, and the simulation
-  /// MAE when learn_during_sim is false (a learning simulation is inherently
-  /// sequential). 0 = hardware concurrency. Results are bitwise-identical at
-  /// any value; keep the default 1 inside RunSweep, whose cells are already
-  /// parallel.
-  size_t estimate_threads = 1;
-
   /// Fault injection (testing/fault_injection.h); rate 0 disables. When
   /// enabled, the training workload's query boxes and the refinement
   /// feedback oracle are adversarially corrupted, while accuracy is still

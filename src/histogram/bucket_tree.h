@@ -426,7 +426,7 @@ double EstimateIndexed(const BucketT& bucket, const Box& query,
 /// The read path of one bucket tree: its BucketTreeIndex, built lazily, plus
 /// the estimate-path rejection counter and the index.bucket_tree.* /
 /// index.flat.* metric handles (DESIGN.md §13). Estimate may run
-/// concurrently (EstimateBatch); every structural change goes through
+/// concurrently (snapshot readers); every structural change goes through
 /// InvalidateIndex or NoteDrill under the owner's exclusive-Refine contract.
 template <typename BucketT>
 class LazyBucketIndex {

@@ -3,8 +3,7 @@
 
 #include <cstddef>
 #include <memory>
-#include <span>
-#include <vector>
+#include <string>
 
 #include "core/box.h"
 
@@ -62,37 +61,24 @@ class Histogram {
   virtual ~Histogram() = default;
 
   /// Estimated number of tuples matching the range predicate `query`.
+  ///
+  /// Const-thread-safe: serving readers call it concurrently on one
+  /// published snapshot, including while its lazily built caches (bucket
+  /// index, KDE planes) are still cold, so every implementation builds
+  /// those under a lock and keeps its counters atomic. Concurrent Refine is
+  /// not allowed (DESIGN.md §9, §10).
   virtual double Estimate(const Box& query) const = 0;
 
   /// TEST-ONLY differential hook: the plain linear bucket scan, kept
   /// alongside any index-accelerated Estimate so differential tests can
   /// check the two agree bitwise (tests/index_differential_test.cc,
-  /// tests/serve_test.cc). Production callers go through Estimate /
-  /// EstimateBatch; nothing outside the test and bench verification paths
-  /// should call this. The default forwards to Estimate; implementations
-  /// with an index-accelerated Estimate override it with the original scan.
+  /// tests/serve_test.cc). Production callers go through Estimate; nothing
+  /// outside the test and bench verification paths should call this. The
+  /// default forwards to Estimate; implementations with an index-accelerated
+  /// Estimate override it with the original scan.
   virtual double EstimateLinear(const Box& query) const {
     return Estimate(query);
   }
-
-  /// Estimates every query in `queries`, returned in input order — THE
-  /// batched entry point, shared by every implementation (metrics, runner,
-  /// serving, benches all route through here; see DESIGN.md §10/§13).
-  ///
-  /// Deliberately non-virtual: there is exactly one batching policy. The
-  /// batch first invokes the PrepareForBatch() hook (index-backed
-  /// implementations amortize their bucket-index build there), then fans
-  /// independent Estimate calls out over `threads` workers (0 = hardware
-  /// concurrency, 1 = inline on the calling thread); small batches always
-  /// run inline. Each slot is computed by an independent Estimate call, so
-  /// the result is bitwise-identical to a serial Estimate loop at any
-  /// thread count.
-  ///
-  /// Thread safety: Estimate must be const-thread-safe for threads != 1,
-  /// which every implementation in this library is; concurrent Refine is not
-  /// allowed (same contract as RunSweep — see DESIGN.md §9).
-  std::vector<double> EstimateBatch(std::span<const Box> queries,
-                                    size_t threads = 0) const;
 
   /// Deep, independent copy of this histogram, the snapshot primitive of the
   /// serving layer (DESIGN.md §11). The contract: the clone's Estimate /
@@ -139,14 +125,6 @@ class Histogram {
   /// Degradation counters accumulated since construction. Static estimators
   /// never degrade and report all-zero.
   virtual RobustnessStats robustness() const { return {}; }
-
- protected:
-  /// Per-batch amortization hook, invoked once by EstimateBatch before any
-  /// estimate of the batch runs. Index-backed implementations (STHoles,
-  /// ISOMER) build their bucket index here so the fanned-out workers only
-  /// ever probe; the default is a no-op. Must be const-thread-safe and must
-  /// not change any estimate's value — only its cost.
-  virtual void PrepareForBatch() const {}
 };
 
 }  // namespace sthist

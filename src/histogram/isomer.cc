@@ -61,10 +61,6 @@ double IsomerHistogram::EstimateLinear(const Box& query) const {
   return index_->EstimateLinear(*root_, query);
 }
 
-void IsomerHistogram::PrepareForBatch() const {
-  index_->EnsureIndex(root_.get());
-}
-
 void IsomerHistogram::NoteStructureChange() { ++structure_epoch_; }
 
 RobustnessStats IsomerHistogram::robustness() const {

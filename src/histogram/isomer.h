@@ -104,11 +104,6 @@ class IsomerHistogram : public Histogram {
   /// frequencies); aborts on violation.
   void CheckInvariants() const;
 
- protected:
-  /// Batch amortization (base-class hook): builds the bucket index once up
-  /// front so the fanned-out per-query estimates only ever probe.
-  void PrepareForBatch() const override;
-
  private:
   struct Bucket;
 

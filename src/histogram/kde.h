@@ -108,7 +108,7 @@ class KdeHistogram : public Histogram {
   KdeHistogram& operator=(const KdeHistogram&) = delete;
 
   /// Estimated cardinality of `query`, served from the SoA plane layout
-  /// (built lazily, amortized across a batch by PrepareForBatch). Malformed
+  /// (built lazily by the first estimate after a Refine). Malformed
   /// queries (dimension mismatch, non-finite bounds) estimate to 0 and bump
   /// the robustness counters instead of aborting.
   double Estimate(const Box& query) const override;
@@ -159,11 +159,6 @@ class KdeHistogram : public Histogram {
   /// reference they are anchored to. Exposed for tests and inspection.
   const std::vector<double>& bandwidths() const { return bandwidth_; }
   const std::vector<double>& scott_reference() const { return scott_; }
-
- protected:
-  /// Builds the dim-major SoA plane layout once per batch (DESIGN.md §15
-  /// discipline: workers only probe).
-  void PrepareForBatch() const override { EnsurePlanes(); }
 
  private:
   struct Metrics {
@@ -223,7 +218,7 @@ class KdeHistogram : public Histogram {
 
   // Lazily built dim-major plane copy of the sample (plane d occupies
   // [d*m, (d+1)*m)); rebuilt after every Refine. Guarded for concurrent
-  // const readers (EstimateBatch workers may race to build it).
+  // const readers (cold snapshot readers may race to build it).
   mutable std::mutex planes_mutex_;
   mutable std::atomic<bool> planes_ready_{false};
   mutable std::vector<double> planes_;

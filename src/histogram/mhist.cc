@@ -110,8 +110,8 @@ double MHistHistogram::Estimate(const Box& query) const {
   // volume) or no term (degenerate, not contained) in the linear scan, and
   // sorting restores bucket order, so the sum below is bitwise-identical to
   // EstimateLinear.
-  // Thread-local scratch so concurrent EstimateBatch readers never share a
-  // buffer and the steady-state probe never allocates.
+  // Thread-local scratch so concurrent readers never share a buffer and the
+  // steady-state probe never allocates.
   static thread_local std::vector<uint64_t> hits;
   hits.clear();
   index_.Probe(query, BoxOverlap::kClosed, &hits);

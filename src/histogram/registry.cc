@@ -95,6 +95,10 @@ StatusOr<std::unique_ptr<Histogram>> MakeHistogram(
   }
   if (name == "mhist") {
     STHIST_RETURN_IF_ERROR(RequireData(name, config));
+    if (config.buckets == 0) {
+      return Status::InvalidArgument(
+          "estimator 'mhist' needs a positive bucket budget");
+    }
     MHistConfig mhist = config.mhist;
     mhist.max_buckets = config.buckets;
     return std::unique_ptr<Histogram>(

@@ -108,8 +108,8 @@ class STGridHistogram : public Histogram {
   size_t queries_seen_ = 0;
   // Refine-path degradation counters (Refine is exclusive by contract).
   RobustnessStats stats_;
-  // Estimate-path rejections; atomic because EstimateBatch runs the const
-  // Estimate concurrently. Merged into robustness().
+  // Estimate-path rejections; atomic because concurrent readers run the
+  // const Estimate. Merged into robustness().
   mutable std::atomic<size_t> rejected_estimates_{0};
 };
 

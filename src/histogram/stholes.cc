@@ -77,8 +77,6 @@ double STHoles::EstimateLinear(const Box& query) const {
   return index_->EstimateLinear(*root_, query);
 }
 
-void STHoles::PrepareForBatch() const { index_->EnsureIndex(root_.get()); }
-
 RobustnessStats STHoles::robustness() const {
   RobustnessStats stats = stats_;
   stats.rejected_queries += index_->rejected();

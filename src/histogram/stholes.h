@@ -158,11 +158,6 @@ class STHoles : public Histogram {
   /// (the touched path), which the test battery checks independently.
   size_t CowCopiedNodes() const { return cow_copied_total_; }
 
- protected:
-  /// Batch amortization (base-class hook): builds the bucket index once up
-  /// front so the fanned-out per-query estimates only ever probe.
-  void PrepareForBatch() const override;
-
  private:
   struct Bucket;
 
@@ -264,8 +259,8 @@ class STHoles : public Histogram {
   size_t cow_copied_total_ = 0;
   mutable size_t fresh_since_snapshot_ = 0;
   // Refine-path degradation counters; Estimate-path rejections live in
-  // index_ as an atomic (Estimate may run concurrently via EstimateBatch)
-  // and are merged in robustness().
+  // index_ as an atomic (concurrent readers share one snapshot) and are
+  // merged in robustness().
   RobustnessStats stats_;
   // Lazily built bucket index and read path (histogram/bucket_tree.h); held
   // by pointer to keep the index machinery out of this header.

@@ -259,6 +259,7 @@ Status ServiceFleet::AddTenant(std::string_view key,
                   "ReinitConfig::domain is required when re-init is on")
             : Validate(reinit.detector);
     if (valid.ok()) valid = Validate(reinit.reservoir);
+    if (valid.ok()) valid = Validate(reinit.mineclus);
     if (!valid.ok()) {
       return StatusF(StatusCode::kInvalidArgument, "tenant '%.*s': %s",
                      static_cast<int>(key.size()), key.data(),
@@ -297,9 +298,9 @@ Status ServiceFleet::AddTenant(std::string_view key,
     return StatusF(StatusCode::kInvalidArgument,
                    "tenant '%s' already exists", shard->key.c_str());
   }
-  // Per-shard cells, capped: the first top_k tenants ever added get their
-  // own label, everyone after shares "other" (DESIGN.md §13 — the name set
-  // must stay bounded however many tenants come and go).
+  // Per-shard cells, capped: the first kTopKShardLabels tenants ever added
+  // get their own label, everyone after shares "other" (DESIGN.md §13 — the
+  // name set must stay bounded however many tenants come and go).
   const std::string label = labels_assigned_ < kTopKShardLabels
                                 ? SanitizeLabel(shard->key)
                                 : std::string("other");
@@ -373,20 +374,6 @@ StatusOr<double> ServiceFleet::Estimate(std::string_view key,
   reads_.Inc();
   shard->label_reads.Inc();
   return shard->snapshot.load()->Estimate(query);
-}
-
-StatusOr<std::vector<double>> ServiceFleet::EstimateBatch(
-    std::string_view key, std::span<const Box> queries) const {
-  std::shared_ptr<Shard> shard = FindShard(key);
-  if (shard == nullptr) {
-    return StatusF(StatusCode::kNotFound, "unknown tenant '%.*s'",
-                   static_cast<int>(key.size()), key.data());
-  }
-  reads_.Inc(queries.size());
-  shard->label_reads.Inc(queries.size());
-  // One load: the whole batch is answered by a single snapshot epoch.
-  std::shared_ptr<const Histogram> snap = shard->snapshot.load();
-  return snap->EstimateBatch(queries, config_.estimate_threads);
 }
 
 std::shared_ptr<const Histogram> ServiceFleet::Snapshot(

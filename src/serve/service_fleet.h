@@ -9,7 +9,6 @@
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
-#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -103,10 +102,6 @@ struct FleetConfig {
   /// how long one backlogged shard can monopolize a pool worker.
   size_t publish_batch = 64;
 
-  /// Threads for EstimateBatch on a shard snapshot (0 = hardware
-  /// concurrency, 1 = inline), forwarded to Histogram::EstimateBatch.
-  size_t estimate_threads = 1;
-
   /// Base seed of the fleet's deterministic tenant hashing: TenantId(key) is
   /// a pure function of (seed, key), so shard identities — and everything a
   /// driver derives from them (per-tenant workload seeds in fleet-sim and
@@ -147,7 +142,7 @@ struct FleetStats {
   /// Lifetime AddTenant / RemoveTenant successes.
   size_t tenants_added = 0;
   size_t tenants_removed = 0;
-  /// Queries served from shard snapshots (Estimate + EstimateBatch).
+  /// Queries served from shard snapshots (Estimate).
   size_t reads_served = 0;
   /// Feedback admitted to / shed by shard queues, fleet-wide.
   size_t feedback_accepted = 0;
@@ -261,9 +256,10 @@ class ServiceFleet {
   /// Registers `key` with `initial` as its working histogram and publishes
   /// its Snapshot() as the shard's first snapshot. Errors: kInvalidArgument
   /// for an empty key, a null histogram, one without Clone() support, or an
-  /// enabled ReinitConfig with an empty domain or invalid detector/reservoir
-  /// knobs; a second Add of a live key is also kInvalidArgument; kUnavailable
-  /// after Stop. The oracle must outlive the tenant.
+  /// enabled ReinitConfig with an empty domain or invalid detector,
+  /// reservoir or MineClus knobs; a second Add of a live key is also
+  /// kInvalidArgument; kUnavailable after Stop. The oracle must outlive the
+  /// tenant.
   Status AddTenant(std::string_view key, std::unique_ptr<Histogram> initial,
                    const CardinalityOracle& oracle,
                    const TenantOptions& options = {});
@@ -289,12 +285,9 @@ class ServiceFleet {
   /// dropped before estimating); kNotFound for an unknown tenant.
   StatusOr<double> Estimate(std::string_view key, const Box& query) const;
 
-  /// Batch estimation against one consistent shard snapshot.
-  StatusOr<std::vector<double>> EstimateBatch(std::string_view key,
-                                              std::span<const Box> queries) const;
-
   /// The shard's current snapshot, or nullptr for an unknown tenant.
-  /// Callers may hold it arbitrarily long, including across RemoveTenant.
+  /// Callers may hold it arbitrarily long, including across RemoveTenant;
+  /// a caller that needs several reads from one epoch holds one snapshot.
   std::shared_ptr<const Histogram> Snapshot(std::string_view key) const;
 
   /// Submits one executed query's box as refinement feedback for `key`;

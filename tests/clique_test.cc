@@ -158,5 +158,20 @@ TEST(CliqueTest, PureNoiseYieldsNothingHuge) {
   }
 }
 
+// Out-of-range settings are reported by Validate, which the constructor
+// CHECKs.
+TEST(CliqueTest, ValidateRejectsOutOfRangeSettings) {
+  EXPECT_TRUE(Validate(CliqueConfig{}).ok());
+  CliqueConfig config;
+  config.xi = 1;
+  EXPECT_EQ(Validate(config).code(), StatusCode::kInvalidArgument);
+  config = CliqueConfig{};
+  config.tau = 0.0;
+  EXPECT_EQ(Validate(config).code(), StatusCode::kInvalidArgument);
+  config = CliqueConfig{};
+  config.max_dims = 0;
+  EXPECT_EQ(Validate(config).code(), StatusCode::kInvalidArgument);
+}
+
 }  // namespace
 }  // namespace sthist

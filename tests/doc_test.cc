@@ -114,5 +114,20 @@ TEST(ClustererInterfaceTest, AllThreeImplementationsRun) {
   EXPECT_EQ(names, (std::set<std::string>{"mineclus", "clique", "doc"}));
 }
 
+// Out-of-range settings are reported by Validate, which the constructor
+// CHECKs.
+TEST(DocTest, ValidateRejectsOutOfRangeSettings) {
+  EXPECT_TRUE(Validate(DocConfig{}).ok());
+  DocConfig config;
+  config.alpha = 0.0;
+  EXPECT_EQ(Validate(config).code(), StatusCode::kInvalidArgument);
+  config = DocConfig{};
+  config.width_fraction = 0.0;
+  EXPECT_EQ(Validate(config).code(), StatusCode::kInvalidArgument);
+  config = DocConfig{};
+  config.discriminating_set_size = 0;
+  EXPECT_EQ(Validate(config).code(), StatusCode::kInvalidArgument);
+}
+
 }  // namespace
 }  // namespace sthist

@@ -1,9 +1,9 @@
 // Differential suite for the indexed estimation paths (DESIGN.md §10): for
-// every histogram with a spatial bucket index, the indexed Estimate and the
-// batched EstimateBatch must be BITWISE identical to the retained linear-scan
-// reference (EstimateLinear) — across dimensionalities, seeds, and
-// drill/merge histories, and after serialization round-trips. Comparisons go
-// through std::bit_cast so even a sign-of-zero or last-ulp divergence fails.
+// every histogram with a spatial bucket index, the indexed Estimate must be
+// BITWISE identical to the retained linear-scan reference (EstimateLinear) —
+// across dimensionalities, seeds, and drill/merge histories, and after
+// serialization round-trips. Comparisons go through std::bit_cast so even a
+// sign-of-zero or last-ulp divergence fails.
 
 #include <gtest/gtest.h>
 
@@ -41,21 +41,13 @@ uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
          << ") linear=" << linear << " (0x" << Bits(linear) << ")";
 }
 
-// Indexed scalar path, indexed batch path (serial and threaded), and the
-// linear reference must all agree bitwise on every probe.
+// Indexed scalar path and the linear reference must agree bitwise on every
+// probe.
 void ExpectAllPathsBitEqual(const Histogram& h, const Workload& probes) {
-  const std::vector<double> batch1 = h.EstimateBatch(probes, 1);
-  const std::vector<double> batch8 = h.EstimateBatch(probes, 8);
-  ASSERT_EQ(batch1.size(), probes.size());
-  ASSERT_EQ(batch8.size(), probes.size());
   for (size_t i = 0; i < probes.size(); ++i) {
     const double linear = h.EstimateLinear(probes[i]);
     EXPECT_TRUE(BitEqual(h.Estimate(probes[i]), linear))
         << "scalar, probe " << i << ": " << probes[i].ToString();
-    EXPECT_TRUE(BitEqual(batch1[i], linear))
-        << "batch(1), probe " << i << ": " << probes[i].ToString();
-    EXPECT_TRUE(BitEqual(batch8[i], linear))
-        << "batch(8), probe " << i << ": " << probes[i].ToString();
   }
 }
 
@@ -246,9 +238,9 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<2>(info.param));
     });
 
-// Const estimation (scalar or batched) must not perturb the learning
-// trajectory: a histogram hammered with estimates between refinements ends
-// bitwise identical to an untouched twin fed the same refinement sequence.
+// Const estimation must not perturb the learning trajectory: a histogram
+// hammered with estimates between refinements ends bitwise identical to an
+// untouched twin fed the same refinement sequence.
 TEST(IsomerDifferentialTest, ConstEstimationDoesNotPerturbLearning) {
   GeneratedData g = MakeCrossData(2, 31);
   Executor executor(g.data);
@@ -269,7 +261,9 @@ TEST(IsomerDifferentialTest, ConstEstimationDoesNotPerturbLearning) {
     for (size_t k = 0; k < 4; ++k) {
       (void)queried.Estimate(probes[(4 * i + k) % probes.size()]);
     }
-    if (i % 5 == 0) (void)queried.EstimateBatch(probes, 4);
+    if (i % 5 == 0) {
+      for (const Box& q : probes) (void)queried.Estimate(q);
+    }
     queried.Refine(train[i], executor);
     untouched.Refine(train[i], executor);
   }
@@ -417,7 +411,7 @@ TEST(STGridDifferentialTest, GridProbeMatchesFullTensorScan) {
 class KdeDifferentialTest
     : public ::testing::TestWithParam<std::tuple<size_t, uint64_t>> {};
 
-// The SoA plane probe (Estimate / EstimateBatch) against the retained
+// The SoA plane probe (Estimate) against the retained
 // row-major AoS scan (EstimateLinear) as the sample and bandwidths evolve
 // under feedback. Same bit-identity bar as the bucket-tree indexes: the two
 // layouts share one kernel-factor function and one summation order.

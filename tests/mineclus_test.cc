@@ -180,5 +180,19 @@ TEST(MineClusTest, DeterministicForSeed) {
   }
 }
 
+// Out-of-range settings are reported by Validate, which RunMineClus CHECKs.
+TEST(MineClusTest, ValidateRejectsOutOfRangeSettings) {
+  EXPECT_TRUE(Validate(MineClusConfig{}).ok());
+  MineClusConfig config;
+  config.alpha = 5.0;
+  EXPECT_EQ(Validate(config).code(), StatusCode::kInvalidArgument);
+  config = MineClusConfig{};
+  config.beta = 0.0;
+  EXPECT_EQ(Validate(config).code(), StatusCode::kInvalidArgument);
+  config = MineClusConfig{};
+  config.width_fraction = 0.0;
+  EXPECT_EQ(Validate(config).code(), StatusCode::kInvalidArgument);
+}
+
 }  // namespace
 }  // namespace sthist

@@ -383,37 +383,6 @@ TEST(MetricsDifferentialTest, InstrumentedEstimatesBitwiseIdentical) {
   EXPECT_TRUE(found_refine_latency);
 }
 
-TEST(MetricsDifferentialTest, BatchMatchesSerialOnInstrumentedHistogram) {
-  GaussConfig data_config;
-  data_config.cluster_tuples = 3000;
-  GeneratedData g = MakeGauss(data_config);
-  Executor executor(g.data);
-
-  WorkloadConfig wc;
-  wc.num_queries = 100;
-  wc.seed = 5;
-  Workload workload = MakeWorkload(g.domain, wc);
-
-  MetricsRegistry registry;
-  STHolesConfig config;
-  config.max_buckets = 40;
-  config.metrics = &registry;
-  STHoles hist(g.domain, static_cast<double>(g.data.size()), config);
-  for (const Box& q : workload) hist.Refine(q, executor);
-
-  // The unified entry point (EstimateBatch + PrepareForBatch hook) must
-  // agree bitwise with per-query Estimate at any thread count.
-  std::vector<double> serial = hist.EstimateBatch(workload, 1);
-  std::vector<double> threaded = hist.EstimateBatch(workload, 4);
-  ASSERT_EQ(serial.size(), workload.size());
-  for (size_t i = 0; i < workload.size(); ++i) {
-    EXPECT_EQ(std::bit_cast<uint64_t>(serial[i]),
-              std::bit_cast<uint64_t>(hist.Estimate(workload[i])));
-    EXPECT_EQ(std::bit_cast<uint64_t>(serial[i]),
-              std::bit_cast<uint64_t>(threaded[i]));
-  }
-}
-
 // ---------------------------------------------------------------------------
 // ServiceFleet naming/cardinality: serve.fleet.* follows the §13 rules and
 // the per-shard label cap bounds the metric count however many tenants live.

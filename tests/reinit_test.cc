@@ -462,8 +462,8 @@ size_t ForceTrigger(const DriftSetup& setup, ServiceFleet& fleet,
 }
 
 // An unusable re-init config is a caller error the fleet reports with a
-// Status, never an abort: no domain, or detector/reservoir knobs that
-// Validate rejects.
+// Status, never an abort: no domain, or detector, reservoir or MineClus
+// knobs that Validate rejects.
 TEST(ReinitServiceTest, AddTenantRejectsInvalidReinitConfig) {
   DriftSetup setup = MakeDriftSetup();
   ServiceFleet fleet;
@@ -486,6 +486,9 @@ TEST(ReinitServiceTest, AddTenantRejectsInvalidReinitConfig) {
   TenantOptions bad_reservoir = ReinitTenant(setup);
   bad_reservoir.reinit.reservoir.capacity = 0;
   EXPECT_EQ(add(bad_reservoir), StatusCode::kInvalidArgument);
+  TenantOptions bad_mineclus = ReinitTenant(setup);
+  bad_mineclus.reinit.mineclus.alpha = 5.0;
+  EXPECT_EQ(add(bad_mineclus), StatusCode::kInvalidArgument);
   EXPECT_FALSE(fleet.HasTenant(kTenant)) << "no rejected tenant was added";
 
   // The same bad knobs are ignored while re-init is off.

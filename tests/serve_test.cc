@@ -335,33 +335,6 @@ TEST(ServeTest, ConcurrentReadersSeeConsistentSnapshots) {
                            *fleet->Snapshot(kTenant));
 }
 
-TEST(ServeTest, EstimateBatchAnswersFromOneEpoch) {
-  ServeSetup setup = MakeSetup(600, 80, 40);
-  std::unique_ptr<ServiceFleet> fleet =
-      OneTenant(MakeHistogram(setup, 30), *setup.executor);
-
-  // Concurrent refinement runs while batches are served; each batch is
-  // internally consistent because it holds one snapshot.
-  std::thread feeder([&] {
-    for (const Box& q : setup.train) (void)fleet->SubmitFeedback(kTenant, q);
-  });
-  for (int round = 0; round < 30; ++round) {
-    std::vector<double> batch = *fleet->EstimateBatch(kTenant, setup.probes);
-    ASSERT_EQ(batch.size(), setup.probes.size());
-    for (double est : batch) EXPECT_TRUE(std::isfinite(est));
-  }
-  feeder.join();
-  EXPECT_TRUE(fleet->Drain().ok());
-
-  // Quiescent: one more batch must match the snapshot exactly.
-  std::shared_ptr<const Histogram> snap = fleet->Snapshot(kTenant);
-  std::vector<double> batch = *fleet->EstimateBatch(kTenant, setup.probes);
-  for (size_t i = 0; i < setup.probes.size(); ++i) {
-    EXPECT_TRUE(BitEqual(batch[i], snap->Estimate(setup.probes[i])));
-  }
-  EXPECT_GE(fleet->stats().reads_served, 31u * setup.probes.size());
-}
-
 TEST(BoundedQueueTest, PushPopAndCloseSemantics) {
   BoundedQueue<int> queue(3);
   std::vector<int> batch;

@@ -11,6 +11,7 @@
 #include "histogram/avi.h"
 #include "histogram/equiwidth.h"
 #include "histogram/mhist.h"
+#include "histogram/registry.h"
 #include "histogram/sampling.h"
 #include "workload/query.h"
 #include "workload/workload.h"
@@ -151,6 +152,23 @@ TEST(MHistTest, SingleBucketIsTrivial) {
   MHistHistogram h(data, Box::Cube(2, 0, 100), config);
   EXPECT_EQ(h.bucket_count(), 1u);
   EXPECT_NEAR(h.Estimate(Box::Cube(2, 0, 100)), 1000.0, 1e-9);
+}
+
+// A zero budget is a caller error for every family the budget sizes,
+// reported by the registry as a Status instead of a failed construction
+// CHECK.
+TEST(MHistTest, RegistryRejectsZeroBudget) {
+  Dataset data = UniformData(1000, 2, 14);
+  HistogramConfig hc;
+  hc.domain = Box::Cube(2, 0, 100);
+  hc.total_tuples = 1000.0;
+  hc.data = &data;
+  hc.buckets = 0;
+  for (const char* name : {"mhist", "sampling", "kde"}) {
+    EXPECT_EQ(MakeHistogram(name, hc).status().code(),
+              StatusCode::kInvalidArgument)
+        << name;
+  }
 }
 
 TEST(MHistTest, BucketsPartitionTheDomain) {

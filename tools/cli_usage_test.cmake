@@ -1,6 +1,8 @@
-# Malformed numeric flags are usage errors: each command below must exit 2
-# before doing any work, with a message naming the offending flag, and a
-# well-formed command must still exit 0. Run through ctest:
+# Bad flags fail before a command does any work, with a message naming the
+# offending flag: a malformed number, or a flag the command (or the selected
+# serve-sim mode or clusterer) does not read, is a usage error (exit 2); a
+# well-formed value outside its range is a runtime failure (exit 1) instead
+# of an abort. A well-formed command must still exit 0. Run through ctest:
 #   cmake -DCLI=<path to sthist_cli> -P tools/cli_usage_test.cmake
 
 if(NOT CLI)
@@ -35,5 +37,32 @@ expect_exit(2 "--threads"
   --threads -1)
 expect_exit(2 "--fault-rate"
   experiment --dataset cross --tuples 2000 --sim 10 --fault-rate nan)
+
+# Out-of-range values exit 1.
+expect_exit(1 "--alpha" cluster --dataset cross --tuples 2000 --alpha 5)
+expect_exit(1 "--xi"
+  cluster --dataset cross --tuples 2000 --clusterer clique --xi 0)
+expect_exit(1 "--width"
+  cluster --dataset cross --tuples 2000 --clusterer doc --width 0)
+expect_exit(1 "--volume"
+  experiment --dataset cross --tuples 2000 --train 10 --sim 10 --volume 2)
+expect_exit(1 "--sim" experiment --dataset cross --tuples 2000 --sim 0)
+expect_exit(1 "--buckets"
+  experiment --dataset cross --tuples 2000 --train 10 --sim 10
+  --estimator mhist --buckets 0)
+expect_exit(1 "--alpha"
+  serve-sim --drift cross-move --queries 400 --readers 0 --alpha 5)
+
+# Flags the command or the serve-sim mode does not read exit 2.
+expect_exit(2 "--clusterer"
+  experiment --dataset cross --tuples 3000 --train 50 --sim 50 --buckets 30
+  --init --clusterer clique)
+expect_exit(2 "--snapshot" serve-sim --drift cross-move --snapshot f.snap)
+expect_exit(2 "--dataset" serve-sim --drift cross-move --dataset gauss)
+expect_exit(2 "--readers" serve-sim --tuples 2000 --pace 1 --readers 8)
+expect_exit(2 "--fault-rate" serve-sim --tuples 2000 --pace 1 --fault-rate 0.5)
+expect_exit(2 "--reinit-window"
+  serve-sim --tuples 2000 --readers 2 --reinit-window 5)
+
 expect_exit(0 ""
   experiment --dataset cross --tuples 2000 --train 10 --sim 10 --buckets 10)

@@ -12,8 +12,9 @@
 //   sthist_cli inspect --dataset cross --buckets 20 --train 100
 //
 // Exit codes: 0 success; 1 runtime failure (unreadable/malformed input,
-// failed write — the Status message is printed to stderr); 2 usage error
-// (unknown subcommand or flag, malformed number).
+// out-of-range value, failed write — the Status message is printed to
+// stderr); 2 usage error (unknown subcommand or flag, a flag the command or
+// mode does not read, malformed number).
 
 #include <algorithm>
 #include <atomic>
@@ -74,9 +75,9 @@ constexpr int kExitUsage = 2;
 // ---------------------------------------------------------------------------
 
 // Flags whose value is a count: plain decimal digits, fitting size_t. Zero
-// keeps whatever meaning the flag gives it (--batch 0, --pace 0, ...).
+// keeps whatever meaning the flag gives it (--pace 0, --seed 0, ...).
 constexpr std::string_view kCountFlags[] = {
-    "batch", "buckets", "dim", "drift-phases", "drift-seed", "drift-tuples",
+    "buckets", "dim", "drift-phases", "drift-seed", "drift-tuples",
     "fault-reinit-seed", "fault-seed", "max-clusters", "max-dims", "pace",
     "publish-batch", "queries", "queue-cap", "readers", "refiners",
     "reinit-backstop", "reinit-buckets", "reinit-cooldown",
@@ -163,11 +164,8 @@ class Flags {
       const char* expected = nullptr;
       if (std::any_of(lists.begin(), lists.end(), named)) {
         if (!ParseCountList(value)) expected = "comma-separated integers";
-      } else if (IsIn(name, kCountFlags)) {
-        // Bare --batch means hardware concurrency.
-        if (!ParseCount(value) && !(name == "batch" && value.empty())) {
-          expected = "a non-negative integer";
-        }
+      } else if (IsIn(name, kCountFlags) && !ParseCount(value)) {
+        expected = "a non-negative integer";
       } else if (IsIn(name, kRealFlags) && !ParseReal(value)) {
         expected = "a finite non-negative number";
       }
@@ -178,6 +176,15 @@ class Flags {
       }
     }
     return Status::Ok();
+  }
+
+  /// CheckAllowed for one mode of a command, which reads only some of the
+  /// command's flags; the error names the mode as well as the flag.
+  Status CheckMode(const std::string& mode,
+                   std::initializer_list<const char*> allowed) const {
+    const Status status = CheckAllowed(allowed);
+    if (status.ok()) return status;
+    return Status::InvalidArgument(status.message() + " in " + mode);
   }
 
   bool Has(const std::string& name) const { return values_.count(name) > 0; }
@@ -199,8 +206,7 @@ class Flags {
 
   size_t Size(const std::string& name, size_t fallback) const {
     auto it = values_.find(name);
-    // An empty value passes CheckAllowed only as bare --batch.
-    if (it == values_.end() || it->second.empty()) return fallback;
+    if (it == values_.end()) return fallback;
     const std::optional<size_t> value = ParseCount(it->second);
     STHIST_CHECK_MSG(value.has_value(), "--%s is not a validated count",
                      name.c_str());
@@ -227,14 +233,15 @@ class Flags {
 // §13), so whatever layers the command exercised show up in the file.
 #define STHIST_COMMON_FLAGS "metrics-json"
 #define STHIST_DATASET_FLAGS "data", "dataset", "tuples", "dim", "seed"
-#define STHIST_CLUSTER_FLAGS                                          \
-  "clusterer", "alpha", "beta", "width", "max-clusters", "xi", "tau", \
-      "max-dims"
-#define STHIST_FAULT_FLAGS \
-  "fault-rate", "fault-seed", "fault-noise", "fault-data"
+#define STHIST_MINECLUS_FLAGS "alpha", "beta", "width", "max-clusters"
+#define STHIST_FAULT_FLAGS "fault-rate", "fault-seed", "fault-noise"
 #define STHIST_DRIFT_FLAGS                                             \
   "drift", "drift-phases", "drift-seed", "drift-tuples", "drift-span", \
       "pace"
+// The flags every serve-sim mode reads.
+#define STHIST_SERVE_FLAGS                                                 \
+  STHIST_COMMON_FLAGS, STHIST_MINECLUS_FLAGS, "queries", "buckets", "init", \
+      "train", "volume", "queue-cap", "publish-batch"
 #define STHIST_REINIT_FLAGS                                              \
   "no-reinit", "reinit-window", "reinit-trigger", "reinit-rearm",        \
       "reinit-cooldown", "reinit-backstop", "reinit-reservoir",          \
@@ -339,27 +346,67 @@ MineClusConfig MineClusFromFlags(const Flags& flags) {
   return config;
 }
 
+// A config's Validate() failure restated as an error in the flags that set
+// the config, so the user learns which flag to fix.
+Status FlagError(const char* flags, const Status& status) {
+  if (status.ok()) return status;
+  return Status::InvalidArgument(std::string(flags) + ": " + status.message());
+}
+
+// The flags behind the range-checked window settings of MineClus and DOC.
+constexpr char kWindowFlagNames[] = "--alpha/--beta/--width";
+
+// Range checks on the flags every training command reads, run before any
+// work: the MineClus settings (ranges in Validate(MineClusConfig)) and
+// --volume.
+Status CheckTrainingFlags(const Flags& flags) {
+  STHIST_RETURN_IF_ERROR(
+      FlagError(kWindowFlagNames, Validate(MineClusFromFlags(flags))));
+  const double volume = flags.Num("volume", 0.01);
+  if (volume <= 0.0 || volume > 1.0) {
+    return StatusF(StatusCode::kInvalidArgument,
+                   "--volume must be in (0,1], got %g", volume);
+  }
+  return Status::Ok();
+}
+
 // Builds the clusterer selected by --clusterer (mineclus | clique | doc).
+// Each clusterer accepts only the flags it reads.
 StatusOr<std::unique_ptr<SubspaceClusterer>> ClustererFromFlags(
     const Flags& flags) {
   std::string name = flags.Str("clusterer", "mineclus");
+  const std::string mode = "cluster --clusterer " + name;
   if (name == "mineclus") {
+    STHIST_RETURN_IF_ERROR(flags.CheckMode(
+        mode, {STHIST_COMMON_FLAGS, STHIST_DATASET_FLAGS, "clusterer",
+               STHIST_MINECLUS_FLAGS}));
+    const MineClusConfig config = MineClusFromFlags(flags);
+    STHIST_RETURN_IF_ERROR(FlagError(kWindowFlagNames, Validate(config)));
     return std::unique_ptr<SubspaceClusterer>(
-        std::make_unique<MineClusClusterer>(MineClusFromFlags(flags)));
+        std::make_unique<MineClusClusterer>(config));
   }
   if (name == "clique") {
+    STHIST_RETURN_IF_ERROR(flags.CheckMode(
+        mode, {STHIST_COMMON_FLAGS, STHIST_DATASET_FLAGS, "clusterer", "xi",
+               "tau", "max-dims"}));
     CliqueConfig config;
     config.xi = flags.Size("xi", config.xi);
     config.tau = flags.Num("tau", config.tau);
     config.max_dims = flags.Size("max-dims", config.max_dims);
+    STHIST_RETURN_IF_ERROR(
+        FlagError("--xi/--tau/--max-dims", Validate(config)));
     return std::unique_ptr<SubspaceClusterer>(
         std::make_unique<CliqueClusterer>(config));
   }
   if (name == "doc") {
+    STHIST_RETURN_IF_ERROR(flags.CheckMode(
+        mode, {STHIST_COMMON_FLAGS, STHIST_DATASET_FLAGS, "clusterer",
+               "alpha", "beta", "width"}));
     DocConfig config;
     config.alpha = flags.Num("alpha", config.alpha);
     config.beta = flags.Num("beta", config.beta);
     config.width_fraction = flags.Num("width", config.width_fraction);
+    STHIST_RETURN_IF_ERROR(FlagError(kWindowFlagNames, Validate(config)));
     return std::unique_ptr<SubspaceClusterer>(
         std::make_unique<DocClusterer>(config));
   }
@@ -397,14 +444,11 @@ Status RunGenerate(const Flags& flags) {
 }
 
 Status RunCluster(const Flags& flags) {
-  STHIST_RETURN_IF_ERROR(
-      flags.CheckAllowed(
-          {STHIST_COMMON_FLAGS, STHIST_DATASET_FLAGS, STHIST_CLUSTER_FLAGS}));
-  StatusOr<GeneratedData> g = ResolveDataset(flags);
-  if (!g.ok()) return g.status();
   StatusOr<std::unique_ptr<SubspaceClusterer>> clusterer =
       ClustererFromFlags(flags);
   if (!clusterer.ok()) return clusterer.status();
+  StatusOr<GeneratedData> g = ResolveDataset(flags);
+  if (!g.ok()) return g.status();
   std::vector<SubspaceCluster> clusters =
       (*clusterer)->Cluster(g->data, g->domain);
   std::printf("clusterer: %s\n", (*clusterer)->name().c_str());
@@ -443,45 +487,63 @@ StatusOr<std::string> EstimatorFromFlags(const Flags& flags) {
                  name.c_str(), known_list.c_str());
 }
 
-Status RunExperiment(const Flags& flags) {
-  STHIST_RETURN_IF_ERROR(flags.CheckAllowed(
-      {STHIST_COMMON_FLAGS, STHIST_DATASET_FLAGS, STHIST_CLUSTER_FLAGS,
-       STHIST_FAULT_FLAGS, "buckets", "train", "sim", "volume", "init",
-       "reversed", "freeze", "data-centers", "batch", "estimator"}));
-  StatusOr<GeneratedData> g = ResolveDataset(flags);
-  if (!g.ok()) return g.status();
-  STHIST_RETURN_IF_ERROR(MaybeInjectDataFaults(flags, &*g));
-  Experiment experiment(*std::move(g));
-
+// The ExperimentConfig fields experiment and sweep both read, checked before
+// any work; the callers set the budget and the init variant.
+StatusOr<ExperimentConfig> ExperimentConfigFromFlags(const Flags& flags) {
+  STHIST_RETURN_IF_ERROR(CheckTrainingFlags(flags));
   ExperimentConfig config;
   StatusOr<std::string> estimator = EstimatorFromFlags(flags);
   if (!estimator.ok()) return estimator.status();
   config.estimator = *std::move(estimator);
-  config.buckets = flags.Size("buckets", 100);
   config.train_queries = flags.Size("train", 400);
   config.sim_queries = flags.Size("sim", 400);
+  if (config.sim_queries == 0) {
+    return Status::InvalidArgument("--sim must be > 0");
+  }
   config.volume_fraction = flags.Num("volume", 0.01);
-  config.initialize = flags.Has("init");
   config.initializer.reversed = flags.Has("reversed");
   config.learn_during_sim = !flags.Has("freeze");
   config.mineclus = MineClusFromFlags(flags);
   config.faults = FaultsFromFlags(flags);
-  if (flags.Has("data-centers")) {
-    config.centers = CenterDistribution::kData;
-  }
-  // Batched estimation for the measurement passes. Bare --batch means
-  // hardware concurrency (0); --batch N pins the worker count. Estimates are
-  // bitwise-identical at any value — this is purely a throughput knob.
-  if (flags.Has("batch")) {
-    config.estimate_threads = flags.Size("batch", 0);
-  }
-  if (config.faults.rate < 0.0 || config.faults.rate > 1.0) {
+  if (flags.Has("data-centers")) config.centers = CenterDistribution::kData;
+  if (config.faults.rate > 1.0) {
     return StatusF(StatusCode::kInvalidArgument,
                    "--fault-rate must be in [0,1], got %g",
                    config.faults.rate);
   }
+  return config;
+}
 
-  ExperimentResult result = experiment.Run(config);
+// Asks the registry whether the estimator builds at `buckets`, so a budget
+// its family rejects (0 for mhist, sampling or kde) is a flag error before
+// the run instead of a failed CHECK inside it.
+Status CheckBudget(const Experiment& experiment, const std::string& estimator,
+                   size_t buckets) {
+  HistogramConfig hc;
+  hc.domain = experiment.domain();
+  hc.total_tuples = experiment.total_tuples();
+  hc.data = &experiment.data();
+  hc.buckets = buckets;
+  return FlagError("--buckets", MakeHistogram(estimator, hc).status());
+}
+
+Status RunExperiment(const Flags& flags) {
+  STHIST_RETURN_IF_ERROR(flags.CheckAllowed(
+      {STHIST_COMMON_FLAGS, STHIST_DATASET_FLAGS, STHIST_MINECLUS_FLAGS,
+       STHIST_FAULT_FLAGS, "fault-data", "buckets", "train", "sim", "volume",
+       "init", "reversed", "freeze", "data-centers", "estimator"}));
+  StatusOr<ExperimentConfig> config = ExperimentConfigFromFlags(flags);
+  if (!config.ok()) return config.status();
+  config->buckets = flags.Size("buckets", 100);
+  config->initialize = flags.Has("init");
+  StatusOr<GeneratedData> g = ResolveDataset(flags);
+  if (!g.ok()) return g.status();
+  STHIST_RETURN_IF_ERROR(MaybeInjectDataFaults(flags, &*g));
+  Experiment experiment(*std::move(g));
+  STHIST_RETURN_IF_ERROR(
+      CheckBudget(experiment, config->estimator, config->buckets));
+
+  ExperimentResult result = experiment.Run(*config);
   TablePrinter table({"metric", "value"});
   table.AddRow({"MAE", FormatDouble(result.mae, 3)});
   table.AddRow({"trivial MAE", FormatDouble(result.trivial_mae, 3)});
@@ -493,7 +555,7 @@ Status RunExperiment(const Flags& flags) {
   table.AddRow({"clustering s", FormatDouble(result.clustering_seconds, 2)});
   table.AddRow({"train s", FormatDouble(result.train_seconds, 2)});
   table.AddRow({"sim s", FormatDouble(result.sim_seconds, 2)});
-  if (config.faults.rate > 0.0 || result.robustness.total() > 0) {
+  if (config->faults.rate > 0.0 || result.robustness.total() > 0) {
     table.AddRow({"faults injected", FormatSize(result.faults_injected)});
     table.AddRow(
         {"rejected queries", FormatSize(result.robustness.rejected_queries)});
@@ -514,11 +576,13 @@ Status RunExperiment(const Flags& flags) {
 // with --both.
 Status RunSweepCommand(const Flags& flags) {
   STHIST_RETURN_IF_ERROR(flags.CheckAllowed(
-      {STHIST_COMMON_FLAGS, STHIST_DATASET_FLAGS, STHIST_CLUSTER_FLAGS,
-       STHIST_FAULT_FLAGS, "buckets", "seeds", "train", "sim", "volume",
-       "init", "both", "reversed", "freeze", "data-centers", "threads",
-       "estimator"},
+      {STHIST_COMMON_FLAGS, STHIST_DATASET_FLAGS, STHIST_MINECLUS_FLAGS,
+       STHIST_FAULT_FLAGS, "fault-data", "buckets", "seeds", "train", "sim",
+       "volume", "init", "both", "reversed", "freeze", "data-centers",
+       "threads", "estimator"},
       /*lists=*/{"buckets", "seeds"}));
+  StatusOr<ExperimentConfig> base = ExperimentConfigFromFlags(flags);
+  if (!base.ok()) return base.status();
   StatusOr<GeneratedData> g = ResolveDataset(flags);
   if (!g.ok()) return g.status();
   STHIST_RETURN_IF_ERROR(MaybeInjectDataFaults(flags, &*g));
@@ -526,25 +590,11 @@ Status RunSweepCommand(const Flags& flags) {
 
   const std::vector<size_t> buckets = flags.SizeList("buckets", "50,100,250");
   const std::vector<size_t> seeds = flags.SizeList("seeds", "21");
+  for (size_t b : buckets) {
+    STHIST_RETURN_IF_ERROR(CheckBudget(experiment, base->estimator, b));
+  }
 
   size_t threads = flags.Size("threads", 0);  // 0 = hardware concurrency.
-
-  ExperimentConfig base;
-  StatusOr<std::string> estimator = EstimatorFromFlags(flags);
-  if (!estimator.ok()) return estimator.status();
-  base.estimator = *std::move(estimator);
-  base.train_queries = flags.Size("train", 400);
-  base.sim_queries = flags.Size("sim", 400);
-  base.volume_fraction = flags.Num("volume", 0.01);
-  base.initializer.reversed = flags.Has("reversed");
-  base.learn_during_sim = !flags.Has("freeze");
-  base.mineclus = MineClusFromFlags(flags);
-  base.faults = FaultsFromFlags(flags);
-  if (flags.Has("data-centers")) base.centers = CenterDistribution::kData;
-  if (base.faults.rate < 0.0 || base.faults.rate > 1.0) {
-    return StatusF(StatusCode::kInvalidArgument,
-                   "--fault-rate must be in [0,1], got %g", base.faults.rate);
-  }
 
   std::vector<bool> variants;
   if (flags.Has("both")) {
@@ -557,7 +607,7 @@ Status RunSweepCommand(const Flags& flags) {
   for (size_t seed : seeds) {
     for (size_t b : buckets) {
       for (bool init : variants) {
-        ExperimentConfig config = base;
+        ExperimentConfig config = *base;
         config.workload_seed = seed;
         config.buckets = b;
         config.initialize = init;
@@ -592,8 +642,9 @@ Status RunSweepCommand(const Flags& flags) {
 
 Status RunInspect(const Flags& flags) {
   STHIST_RETURN_IF_ERROR(flags.CheckAllowed(
-      {STHIST_COMMON_FLAGS, STHIST_DATASET_FLAGS, STHIST_CLUSTER_FLAGS,
+      {STHIST_COMMON_FLAGS, STHIST_DATASET_FLAGS, STHIST_MINECLUS_FLAGS,
        "buckets", "train", "volume", "init"}));
+  STHIST_RETURN_IF_ERROR(CheckTrainingFlags(flags));
   StatusOr<GeneratedData> g = ResolveDataset(flags);
   if (!g.ok()) return g.status();
   Experiment experiment(*std::move(g));
@@ -631,8 +682,9 @@ Status RunInspect(const Flags& flags) {
 // so two saves agree iff the files do.
 Status RunSnapshotSave(const Flags& flags) {
   STHIST_RETURN_IF_ERROR(flags.CheckAllowed(
-      {STHIST_COMMON_FLAGS, STHIST_DATASET_FLAGS, STHIST_CLUSTER_FLAGS,
+      {STHIST_COMMON_FLAGS, STHIST_DATASET_FLAGS, STHIST_MINECLUS_FLAGS,
        "buckets", "train", "volume", "init", "out", "estimator"}));
+  STHIST_RETURN_IF_ERROR(CheckTrainingFlags(flags));
   std::string out = flags.Str("out", "");
   if (out.empty()) {
     return Status::InvalidArgument("snapshot save requires --out <file>");
@@ -649,7 +701,7 @@ Status RunSnapshotSave(const Flags& flags) {
   hc.data = &experiment.data();
   hc.buckets = flags.Size("buckets", 100);
   StatusOr<std::unique_ptr<Histogram>> made = MakeHistogram(*estimator, hc);
-  if (!made.ok()) return made.status();
+  if (!made.ok()) return FlagError("--buckets", made.status());
   Histogram& hist = **made;
   if (flags.Has("init")) {
     InitializeHistogram(experiment.Clusters(MineClusFromFlags(flags)),
@@ -795,6 +847,11 @@ StatusOr<FleetConfig> ServeFleetConfig(const Flags& flags) {
 // queue-full, so the run is replayable: same flags, same trigger/swap
 // sequence.
 Status RunServeSimDrift(const Flags& flags) {
+  STHIST_RETURN_IF_ERROR(flags.CheckMode(
+      "serve-sim drift mode",
+      {STHIST_SERVE_FLAGS, "dim", "readers", STHIST_DRIFT_FLAGS,
+       STHIST_FAULT_FLAGS, STHIST_REINIT_FLAGS}));
+  STHIST_RETURN_IF_ERROR(CheckTrainingFlags(flags));
   StatusOr<DriftScenario> scenario =
       ParseDriftScenario(flags.Str("drift", "cross-move"));
   if (!scenario.ok()) return scenario.status();
@@ -997,6 +1054,11 @@ Status RunServeSimDrift(const Flags& flags) {
 // hold. The restored run must use the same dataset/workload/bucket flags as
 // the saved one; only --restore and the snapshot flags may differ.
 Status RunServeSimReplay(const Flags& flags) {
+  STHIST_RETURN_IF_ERROR(flags.CheckMode(
+      "serve-sim replay mode",
+      {STHIST_SERVE_FLAGS, STHIST_DATASET_FLAGS, "pace", "snapshot",
+       "snapshot-every", "restore"}));
+  STHIST_RETURN_IF_ERROR(CheckTrainingFlags(flags));
   StatusOr<GeneratedData> g = ResolveDataset(flags);
   if (!g.ok()) return g.status();
   Experiment experiment(*std::move(g));
@@ -1140,19 +1202,20 @@ Status RunServeSimReplay(const Flags& flags) {
 // Simulates production serving: R reader threads issue estimates against
 // the published snapshot while every executed query's feedback streams back
 // through the serving cell's bounded queue into its single refiner. Prints
-// the fleet and tenant counters plus read throughput.
+// the fleet and tenant counters plus read throughput. --drift selects the
+// drift mode and --pace or a snapshot flag the replay mode; each mode
+// accepts exactly the flags it reads.
 Status RunServeSim(const Flags& flags) {
-  STHIST_RETURN_IF_ERROR(flags.CheckAllowed(
-      {STHIST_COMMON_FLAGS, STHIST_DATASET_FLAGS, STHIST_CLUSTER_FLAGS,
-       STHIST_FAULT_FLAGS, STHIST_DRIFT_FLAGS, STHIST_REINIT_FLAGS,
-       "buckets", "train", "queries", "readers", "volume", "init",
-       "queue-cap", "publish-batch", "batch", "snapshot", "snapshot-every",
-       "restore"}));
   if (flags.Has("drift")) return RunServeSimDrift(flags);
   if (flags.Has("pace") || flags.Has("snapshot") ||
       flags.Has("snapshot-every") || flags.Has("restore")) {
     return RunServeSimReplay(flags);
   }
+  STHIST_RETURN_IF_ERROR(flags.CheckMode(
+      "serve-sim concurrent mode",
+      {STHIST_SERVE_FLAGS, STHIST_DATASET_FLAGS, "readers",
+       STHIST_FAULT_FLAGS}));
+  STHIST_RETURN_IF_ERROR(CheckTrainingFlags(flags));
   StatusOr<GeneratedData> g = ResolveDataset(flags);
   if (!g.ok()) return g.status();
   Experiment experiment(*std::move(g));
@@ -1182,12 +1245,6 @@ Status RunServeSim(const Flags& flags) {
 
   StatusOr<FleetConfig> fc = ServeFleetConfig(flags);
   if (!fc.ok()) return fc.status();
-  // Batched estimation threads for the final pass below. Defaults to a
-  // small pool (not hardware concurrency) so the pool layer shows up in the
-  // metrics dump even on a single-core box; results are bitwise-identical
-  // at any value, so oversubscription only costs wall clock. --batch N
-  // overrides; --batch 0 (or bare --batch) = hardware concurrency.
-  fc->estimate_threads = flags.Has("batch") ? flags.Size("batch", 0) : 4;
   // --fault-* applies to the serving loop too: the refiner's oracle answers
   // flow through a deterministic FaultyOracle. Readers never consult the
   // oracle.
@@ -1226,13 +1283,6 @@ Status RunServeSim(const Flags& flags) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
 
-  // One batched pass over the simulation workload against the final
-  // snapshot: exercises the EstimateBatch fan-out (and with it the thread
-  // pool) on the exact histogram the readers ended on.
-  std::vector<double> batched = *fleet.EstimateBatch(kServeTenant, sim);
-  double batched_sum = 0.0;
-  for (double est : batched) batched_sum += est;
-
   const FleetStats stats = fleet.stats();
   const TenantStats tenant = *fleet.tenant_stats(kServeTenant);
   double publish_max = 0.0;
@@ -1259,13 +1309,6 @@ Status RunServeSim(const Flags& flags) {
   table.AddRow({"mean publish ms", FormatDouble(publish_mean * 1e3, 2)});
   table.AddRow({"max publish ms", FormatDouble(publish_max * 1e3, 2)});
   table.AddRow({"drain+total s", FormatDouble(total_seconds, 2)});
-  table.AddRow({"batched queries", FormatSize(batched.size())});
-  table.AddRow({"batched mean est",
-                FormatDouble(batched.empty()
-                                 ? 0.0
-                                 : batched_sum /
-                                       static_cast<double>(batched.size()),
-                             1)});
   table.Print();
 
   std::shared_ptr<const Histogram> snapshot = fleet.Snapshot(kServeTenant);
@@ -1516,20 +1559,18 @@ void PrintUsage() {
       "              --dataset cross|gauss|sky|particle --tuples N --dim D\n"
       "              --seed S --out file.csv\n"
       "  cluster     run subspace clustering and print the clusters\n"
-      "              --dataset ...|--data file.csv\n"
-      "              --clusterer mineclus|clique|doc\n"
-      "              mineclus/doc: --alpha A --beta B --width W\n"
+      "              dataset flags + --clusterer mineclus|clique|doc and\n"
+      "              that clusterer's flags only:\n"
+      "              mineclus: mineclus flags\n"
+      "              doc: --alpha A --beta B --width W\n"
       "              clique: --xi N --tau T --max-dims K\n"
       "  experiment  train/simulate an estimator and report errors\n"
       "              --estimator NAME picks the family (default stholes;\n"
       "              trivial|equiwidth|avi|sampling|mhist|stgrid|isomer|\n"
       "              stholes|kde — see histogram/registry.h)\n"
       "              --buckets N --train N --sim N --volume F [--init]\n"
-      "              [--reversed] [--freeze] [--data-centers] + cluster "
-      "flags\n"
-      "              [--batch [N]] batch measurement estimates over N\n"
-      "              threads (bare --batch = all cores); same results,\n"
-      "              faster measurement\n"
+      "              [--reversed] [--freeze] [--data-centers]\n"
+      "              + dataset and mineclus flags\n"
       "              fault injection: --fault-rate R --fault-seed S\n"
       "              --fault-noise F [--fault-data]\n"
       "  sweep       run a grid of experiment cells across threads\n"
@@ -1537,7 +1578,8 @@ void PrintUsage() {
       "              --threads N (0 = all cores) [--estimator NAME]\n"
       "              + experiment flags\n"
       "  inspect     print the bucket tree after training\n"
-      "              --buckets N --train N [--init]\n"
+      "              --buckets N --train N --volume F [--init]\n"
+      "              + dataset and mineclus flags\n"
       "  snapshot    versioned binary snapshot files (DESIGN.md §17)\n"
       "              save:   train a histogram and persist it\n"
       "                      --out file.snap [--estimator NAME]\n"
@@ -1546,17 +1588,21 @@ void PrintUsage() {
       "              verify: decode, fail closed on any corruption\n"
       "                      --in file.snap (histogram or fleet snapshots\n"
       "                      are auto-detected by magic)\n"
-      "  serve-sim   concurrent serving simulation: reader threads estimate\n"
+      "  serve-sim   one-tenant serving simulation in one of three modes,\n"
+      "              each accepting only the flags listed for it; every mode\n"
+      "              takes --queries N --buckets N --train N --volume F\n"
+      "              [--init] --queue-cap N --publish-batch N + mineclus\n"
+      "              flags and ends with a /metrics-style dump\n"
+      "              concurrent mode (the default): reader threads estimate\n"
       "              against published snapshots while the refiner drains\n"
-      "              their feedback; ends with a /metrics-style dump\n"
-      "              --readers N --queries N --buckets N --train N [--init]\n"
-      "              --queue-cap N --publish-batch N [--batch [N]]\n"
-      "              + cluster flags; --fault-rate R injects faults into\n"
-      "              the refiner's oracle answers\n"
+      "              their feedback; dataset flags, --readers N, and\n"
+      "              --fault-rate R --fault-seed S --fault-noise F inject\n"
+      "              faults into the refiner's oracle answers\n"
       "              drift mode: --drift cross-move|churn|hotspot|adversarial\n"
       "              --drift-phases N --drift-seed S --drift-tuples N\n"
-      "              --drift-span F --dim D; stagnation re-init is on by\n"
-      "              default (--no-reinit disables): --reinit-window N\n"
+      "              --drift-span F --dim D --pace P --readers N, the fault\n"
+      "              flags above; stagnation re-init is on by default\n"
+      "              (--no-reinit disables): --reinit-window N\n"
       "              --reinit-trigger F --reinit-rearm F --reinit-cooldown N\n"
       "              --reinit-backstop N --reinit-reservoir N\n"
       "              --reinit-buckets N [--reinit-sync]\n"
@@ -1564,9 +1610,10 @@ void PrintUsage() {
       "              faults into the rebuild path (aborted swaps keep the\n"
       "              incumbent serving)\n"
       "              replay mode (--pace, --snapshot, --snapshot-every, or\n"
-      "              --restore without --drift): one deterministic driver\n"
-      "              thread, drains every --pace P queries, prints a\n"
-      "              'serve digest' that is a pure function of the flags;\n"
+      "              --restore without --drift): dataset flags; one\n"
+      "              deterministic replay thread, drains every --pace P\n"
+      "              queries, prints a 'serve digest' that is a pure\n"
+      "              function of the flags;\n"
       "              --snapshot f.snap [--snapshot-every N] saves\n"
       "              Drain-barriered snapshots, --restore f.snap warm-starts\n"
       "              from one and replays to the uninterrupted run's digest\n"
@@ -1585,10 +1632,15 @@ void PrintUsage() {
       "              and with the saving run's --queries the digest matches\n"
       "              it)\n"
       "\n"
+      "dataset flags: --dataset cross|gauss|sky|particle --tuples N --dim D\n"
+      "--seed S, or --data file.csv\n"
+      "mineclus flags: --alpha A --beta B --width W --max-clusters N\n"
       "every command accepts --metrics-json <path>: export the run's\n"
       "metrics registry (counters, gauges, latency histograms) as JSON\n"
       "\n"
-      "exit codes: 0 ok, 1 runtime failure, 2 usage error\n",
+      "exit codes: 0 ok, 1 runtime failure (including out-of-range values\n"
+      "such as --alpha 5), 2 usage error (unknown flag, a flag the command\n"
+      "or mode does not read, malformed number)\n",
       stderr);
 }
 
