@@ -123,10 +123,9 @@ KdeFixture& KdeFixtureFor(int64_t capacity) {
   return *fixtures[slot];
 }
 
-// SoA plane path (the production Estimate, after the lazy plane build).
+// The KDE estimate: one row-major scan over the sample.
 void BM_KdeEstimate(benchmark::State& state) {
   KdeFixture& f = KdeFixtureFor(state.range(0));
-  for (const Box& q : f.queries) (void)f.hist->Estimate(q);  // Build planes.
   size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(f.hist->Estimate(f.queries[i]));
@@ -135,19 +134,7 @@ void BM_KdeEstimate(benchmark::State& state) {
   state.counters["buckets"] = static_cast<double>(f.hist->bucket_count());
 }
 
-// Row-major reference scan, the differential twin of the plane path.
-void BM_KdeEstimateLinear(benchmark::State& state) {
-  KdeFixture& f = KdeFixtureFor(state.range(0));
-  size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(f.hist->EstimateLinear(f.queries[i]));
-    i = (i + 1) % f.queries.size();
-  }
-  state.counters["buckets"] = static_cast<double>(f.hist->bucket_count());
-}
-
 BENCHMARK(BM_KdeEstimate)->Arg(10)->Arg(50)->Arg(100)->Arg(250);
-BENCHMARK(BM_KdeEstimateLinear)->Arg(10)->Arg(50)->Arg(100)->Arg(250);
 
 }  // namespace
 

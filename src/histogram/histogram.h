@@ -63,10 +63,10 @@ class Histogram {
   /// Estimated number of tuples matching the range predicate `query`.
   ///
   /// Const-thread-safe: serving readers call it concurrently on one
-  /// published snapshot, including while its lazily built caches (bucket
-  /// index, KDE planes) are still cold, so every implementation builds
-  /// those under a lock and keeps its counters atomic. Concurrent Refine is
-  /// not allowed (DESIGN.md §9, §10).
+  /// published snapshot, including while a lazily built cache (the bucket
+  /// index) is still cold, so every implementation builds such caches under
+  /// a lock and keeps its counters atomic. Concurrent Refine is not allowed
+  /// (DESIGN.md §9, §10).
   virtual double Estimate(const Box& query) const = 0;
 
   /// TEST-ONLY differential hook: the plain linear bucket scan, kept

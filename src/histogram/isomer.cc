@@ -15,8 +15,6 @@ struct IsomerHistogram::Bucket {
   Box box;
   double frequency = 0.0;
   std::vector<std::unique_ptr<Bucket>> children;
-  /// Region volume as of the last index (re)build; see STHoles::Bucket.
-  RegionCache cached_region;
 };
 
 IsomerHistogram::IsomerHistogram(const Box& domain, double total_tuples,
@@ -54,7 +52,7 @@ size_t IsomerHistogram::bucket_count() const { return bucket_count_ - 1; }
 
 double IsomerHistogram::Estimate(const Box& query) const {
   metrics_.estimates.Inc();
-  return index_->Estimate(root_.get(), query);
+  return index_->Estimate(*root_, query);
 }
 
 double IsomerHistogram::EstimateLinear(const Box& query) const {
@@ -103,8 +101,8 @@ void IsomerHistogram::DrillHole(Bucket* b, const Box& candidate,
   CarveHole(b, std::make_unique<Bucket>(), candidate, oracle, &stats_,
             index_.get());
   ++bucket_count_;
-  // Any drill changes region geometry, so constraint plans must rebuild;
-  // the index itself only goes stale when children moved between lists.
+  // Any drill changes region geometry, so constraint plans must rebuild
+  // (CarveHole already invalidated the index).
   NoteStructureChange();
 }
 
@@ -114,18 +112,21 @@ void IsomerHistogram::DrillHole(Bucket* b, const Box& candidate,
 
 namespace {
 
-// Recursively appends the plan node for `b` (already known to intersect
-// `box`) and its intersecting descendants in pre-order; returns the subtree
-// size. `kids(b)` enumerates b's intersecting children in child order.
-template <typename BucketT, typename NodeT, typename MakeNode,
-          typename Kids>
-uint32_t AppendPlanNode(BucketT* b, const MakeNode& make_node,
-                        const Kids& kids, std::vector<NodeT>* out) {
+// Recursively appends the plan node for `b` (already known to intersect the
+// probed box; `region` is its region volume as `index` holds it) and its
+// intersecting descendants in pre-order; returns the subtree size. `groups`
+// is the probe result that enumerates b's intersecting children.
+template <typename BucketT, typename NodeT, typename MakeNode>
+uint32_t AppendPlanNode(BucketT* b, double region,
+                        const BucketTreeIndex<BucketT>& index,
+                        const BucketGroups<BucketT>& groups,
+                        const MakeNode& make_node, std::vector<NodeT>* out) {
   const size_t at = out->size();
-  out->push_back(make_node(b));
+  out->push_back(make_node(b, region));
   uint32_t subtree = 1;
-  for (const auto& ref : kids(b)) {
-    subtree += AppendPlanNode(b->children[ref.slot].get(), make_node, kids,
+  for (const auto& ref : groups.Of(b)) {
+    subtree += AppendPlanNode(b->children[ref.slot].get(),
+                              index.region(ref.id), index, groups, make_node,
                               out);
   }
   (*out)[at].subtree = subtree;
@@ -143,17 +144,18 @@ void IsomerHistogram::EnsurePlan(Constraint* constraint) {
   // Probe once; the plan then replays CollectIntersecting's pre-order
   // without ever scanning non-intersecting subtrees.
   BucketGroups<Bucket> groups;
-  index_->EnsureIndex(root_.get()).Probe(constraint->box, &groups);
+  const BucketTreeIndex<Bucket>& index = index_->EnsureIndex(*root_);
+  index.Probe(constraint->box, &groups);
 
   const Box& box = constraint->box;
   if (root_->box.IntersectionVolume(box) <= 0.0) return;
   const double min_volume = MinRegionVolume(root_->box);
-  auto make_node = [&](Bucket* b) {
+  auto make_node = [&](Bucket* b, double region) {
     PlanNode node;
     node.bucket = b;
-    // cached_region is bitwise-identical to RegionVolume here: EnsureIndex
-    // above refreshed it against the current structure.
-    node.region = b->cached_region.Get();
+    // The index's region volume is bitwise-identical to RegionVolume here:
+    // EnsureIndex above built it against the current structure.
+    node.region = region;
     // RegionIntersectionVolume, subtracting only intersecting children (the
     // others subtract exact 0.0 in the uncached loop).
     double v = b->box.IntersectionVolume(box);
@@ -165,8 +167,8 @@ void IsomerHistogram::EnsurePlan(Constraint* constraint) {
     node.contained = box.Contains(b->box);
     return node;
   };
-  auto kids = [&](Bucket* b) { return groups.Of(b); };
-  AppendPlanNode(root_.get(), make_node, kids, &constraint->plan);
+  AppendPlanNode(root_.get(), index.root_region(), index, groups, make_node,
+                 &constraint->plan);
 }
 
 double IsomerHistogram::PlanEstimate(const Constraint& constraint) const {

@@ -17,9 +17,9 @@ constexpr double kInvSqrtPi = 0.56418958354775628695;
 
 /// Kernel mass of a standard-normal kernel centered at `x` inside [lo, hi]:
 /// Φ((hi−x)/h) − Φ((lo−x)/h) with Φ(z) = (1 + erf(z/√2))/2, folded so the
-/// √2 lives in inv_h = 1/(h·√2). Shared by the SoA and row-major estimation
-/// paths — one function, one floating-point expression, so the two paths
-/// are bitwise identical (§10).
+/// √2 lives in inv_h = 1/(h·√2). Shared by Estimate, EstimateAndGrad and
+/// the truncation weights — one function, one floating-point expression, so
+/// the gradient path's estimate is bitwise Estimate's (§18).
 inline double GaussBoxFactor(double x, double lo, double hi, double inv_h) {
   const double a = (lo - x) * inv_h;
   const double b = (hi - x) * inv_h;
@@ -137,6 +137,7 @@ KdeHistogram::KdeHistogram(const KdeHistogram& other)
       log_factor_(other.log_factor_),
       scott_(other.scott_),
       bandwidth_(other.bandwidth_),
+      inv_h_(other.inv_h_),
       coeff_(other.coeff_),
       feedbacks_(other.feedbacks_),
       refine_robustness_(other.refine_robustness_),
@@ -166,20 +167,6 @@ double KdeHistogram::TrivialEstimate(const Box& query) const {
   return total_tuples_ * (domain_.IntersectionVolume(query) / domain_volume);
 }
 
-void KdeHistogram::EnsurePlanes() const {
-  if (planes_ready_.load(std::memory_order_acquire)) return;
-  std::lock_guard<std::mutex> lock(planes_mutex_);
-  if (planes_ready_.load(std::memory_order_relaxed)) return;
-  const size_t m = sample_.size();
-  planes_.resize(m * dim_);
-  const std::vector<Point>& rows = sample_.items();
-  for (size_t d = 0; d < dim_; ++d) {
-    double* plane = planes_.data() + d * m;
-    for (size_t i = 0; i < m; ++i) plane[i] = rows[i][d];
-  }
-  planes_ready_.store(true, std::memory_order_release);
-}
-
 double KdeHistogram::Estimate(const Box& query) const {
   metrics_.estimates.Inc();
   if (!UsableQuery(query)) {
@@ -188,51 +175,17 @@ double KdeHistogram::Estimate(const Box& query) const {
   }
   const size_t m = sample_.size();
   if (m == 0) return TrivialEstimate(query);
-  EnsurePlanes();
 
-  // Dim-major plane sweep over the SoA layout; the per-point factor chain
-  // multiplies in ascending dimension order, the truncation weight last,
-  // exactly as the row-major reference path does, so the two are bitwise
-  // identical. Thread-local scratch keeps the probe path allocation-free in
-  // steady state (§15).
-  thread_local std::vector<double> product;
-  if (product.size() < m) product.resize(m);
-  for (size_t d = 0; d < dim_; ++d) {
-    const double inv_h = kInvSqrt2 / bandwidth_[d];
-    const double lo = query.lo(d);
-    const double hi = query.hi(d);
-    const double* plane = planes_.data() + d * m;
-    if (d == 0) {
-      for (size_t i = 0; i < m; ++i) {
-        product[i] = GaussBoxFactor(plane[i], lo, hi, inv_h);
-      }
-    } else {
-      for (size_t i = 0; i < m; ++i) {
-        product[i] *= GaussBoxFactor(plane[i], lo, hi, inv_h);
-      }
-    }
-  }
-  double sum = 0.0;
-  for (size_t i = 0; i < m; ++i) sum += product[i] * coeff_[i];
-  return sum < 0.0 ? 0.0 : sum;
-}
-
-double KdeHistogram::EstimateLinear(const Box& query) const {
-  if (!UsableQuery(query)) {
-    rejected_estimates_.fetch_add(1, std::memory_order_relaxed);
-    return 0.0;
-  }
-  const size_t m = sample_.size();
-  if (m == 0) return TrivialEstimate(query);
-
+  // Per point, the factor chain multiplies in ascending dimension order and
+  // the coefficient last, as EstimateAndGrad does, so Refine's view of the
+  // estimate is this one bit for bit.
   double sum = 0.0;
   const std::vector<Point>& rows = sample_.items();
   for (size_t i = 0; i < m; ++i) {
     const Point& x = rows[i];
     double p = 1.0;
     for (size_t d = 0; d < dim_; ++d) {
-      const double inv_h = kInvSqrt2 / bandwidth_[d];
-      p *= GaussBoxFactor(x[d], query.lo(d), query.hi(d), inv_h);
+      p *= GaussBoxFactor(x[d], query.lo(d), query.hi(d), inv_h_[d]);
     }
     sum += p * coeff_[i];
   }
@@ -254,11 +207,10 @@ double KdeHistogram::EstimateAndGrad(const Box& query,
   for (size_t i = 0; i < m; ++i) {
     const Point& x = rows[i];
     for (size_t d = 0; d < dim_; ++d) {
-      const double inv_h = kInvSqrt2 / bandwidth_[d];
       factor_scratch_[d] =
-          GaussBoxFactor(x[d], query.lo(d), query.hi(d), inv_h);
+          GaussBoxFactor(x[d], query.lo(d), query.hi(d), inv_h_[d]);
       dfactor_scratch_[d] =
-          GaussBoxFactorGrad(x[d], query.lo(d), query.hi(d), inv_h);
+          GaussBoxFactorGrad(x[d], query.lo(d), query.hi(d), inv_h_[d]);
     }
     // Leave-one-out products via prefix/suffix chains — no division, so a
     // zero factor in one dimension cannot poison the others' gradients.
@@ -324,6 +276,8 @@ void KdeHistogram::RecomputeBandwidths() {
 }
 
 void KdeHistogram::ComputeCoefficients() {
+  inv_h_.resize(dim_);
+  for (size_t d = 0; d < dim_; ++d) inv_h_[d] = kInvSqrt2 / bandwidth_[d];
   const size_t m = sample_.size();
   const std::vector<Point>& rows = sample_.items();
   coeff_.resize(m);
@@ -331,13 +285,13 @@ void KdeHistogram::ComputeCoefficients() {
   for (const Point& x : rows) mass_sum += x[dim_];
   const double scale = mass_sum > 0.0 ? total_tuples_ / mass_sum : 0.0;
   for (size_t i = 0; i < m; ++i) {
-    // Truncation weight: the same factor function, inv_h expression, and
+    // Truncation weight: the same factor function, inv_h, and
     // ascending-dimension multiplication order as the estimation paths, so
     // the full-domain query's product cancels it to 1 within rounding.
     double p = 1.0;
     for (size_t d = 0; d < dim_; ++d) {
-      const double inv_h = kInvSqrt2 / bandwidth_[d];
-      p *= GaussBoxFactor(rows[i][d], domain_.lo(d), domain_.hi(d), inv_h);
+      p *= GaussBoxFactor(rows[i][d], domain_.lo(d), domain_.hi(d),
+                          inv_h_[d]);
     }
     // Sample points live inside the domain, so p can only underflow to 0
     // for degenerate bandwidths; fall back to the untruncated kernel rather
@@ -442,7 +396,6 @@ void KdeHistogram::Refine(const Box& query, const CardinalityOracle& oracle) {
   }
 
   RecomputeBandwidths();
-  planes_ready_.store(false, std::memory_order_release);
   metrics_.sample_points.Set(static_cast<double>(sample_.size()));
 }
 

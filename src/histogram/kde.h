@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -107,16 +106,11 @@ class KdeHistogram : public Histogram {
 
   KdeHistogram& operator=(const KdeHistogram&) = delete;
 
-  /// Estimated cardinality of `query`, served from the SoA plane layout
-  /// (built lazily by the first estimate after a Refine). Malformed
-  /// queries (dimension mismatch, non-finite bounds) estimate to 0 and bump
-  /// the robustness counters instead of aborting.
+  /// Estimated cardinality of `query`: one row-major scan over the sample,
+  /// with no lazily built state. Malformed queries (dimension mismatch,
+  /// non-finite bounds) estimate to 0 and bump the robustness counters
+  /// instead of aborting.
   double Estimate(const Box& query) const override;
-
-  /// The row-major reference scan over the AoS sample — the differential
-  /// twin of the SoA Estimate (tests/index_differential_test.cc holds the
-  /// two to bit-identity; see §10).
-  double EstimateLinear(const Box& query) const override;
 
   /// Learns from one executed query: adapts the per-dimension bandwidths
   /// against the observed error (before the sample moves), then folds
@@ -125,8 +119,7 @@ class KdeHistogram : public Histogram {
   void Refine(const Box& query, const CardinalityOracle& oracle) override;
 
   /// Deep copy: sample, bandwidths, RNG engines, counters. The clone's
-  /// estimates are bitwise-identical to the source's; its SoA cache starts
-  /// cold.
+  /// estimates are bitwise-identical to the source's.
   std::unique_ptr<Histogram> Clone() const override;
 
   /// Sample points currently held — the synopsis "bucket" count.
@@ -182,20 +175,17 @@ class KdeHistogram : public Histogram {
 
   /// Row-major estimate that simultaneously accumulates the per-dimension
   /// bandwidth gradient Σ_i (Π_{d'≠d} F_id') · ∂F_id/∂log h_d into `grad`
-  /// (sized dim). The estimate value is bitwise-identical to
-  /// EstimateLinear's.
+  /// (sized dim). The estimate value is bitwise-identical to Estimate's.
   double EstimateAndGrad(const Box& query, std::vector<double>* grad) const;
 
   /// Re-derives scott_ from the current sample and bandwidth_ from
   /// scott_ × exp(log_factor_), then refreshes coeff_.
   void RecomputeBandwidths();
 
-  /// Rebuilds the per-point estimation coefficients
-  /// c_i = (N / Σ_j μ_j) · μ_i · w_i from the current sample and bandwidths
-  /// (derived state — never serialized).
+  /// Rebuilds inv_h_ from the current bandwidths, then the per-point
+  /// estimation coefficients c_i = (N / Σ_j μ_j) · μ_i · w_i from the
+  /// current sample (derived state — never serialized).
   void ComputeCoefficients();
-
-  void EnsurePlanes() const;
 
   const Box domain_;
   const double total_tuples_;
@@ -210,18 +200,12 @@ class KdeHistogram : public Histogram {
   std::vector<double> log_factor_;  // Adapted log multiplier per dim.
   std::vector<double> scott_;       // Scott's-rule reference per dim.
   std::vector<double> bandwidth_;   // scott_ × exp(log_factor_), clamped.
+  std::vector<double> inv_h_;       // 1 / (bandwidth_ × √2) per dim.
   std::vector<double> coeff_;       // Per-point coefficient c_i (see above).
 
   size_t feedbacks_ = 0;
   RobustnessStats refine_robustness_;
   mutable std::atomic<uint64_t> rejected_estimates_{0};
-
-  // Lazily built dim-major plane copy of the sample (plane d occupies
-  // [d*m, (d+1)*m)); rebuilt after every Refine. Guarded for concurrent
-  // const readers (cold snapshot readers may race to build it).
-  mutable std::mutex planes_mutex_;
-  mutable std::atomic<bool> planes_ready_{false};
-  mutable std::vector<double> planes_;
 
   // Refiner-thread scratch for EstimateAndGrad (Refine is single-threaded
   // by contract).

@@ -47,9 +47,6 @@ void FlatBoxIndex::Clear() {
   nodes_.clear();
   node_lo_.clear();
   node_hi_.clear();
-  ov_bounds_.clear();
-  ov_ids_.clear();
-  compactions_ = 0;
 }
 
 void FlatBoxIndex::Build(std::vector<Entry>* entries) {
@@ -153,52 +150,6 @@ void FlatBoxIndex::Bulk(std::vector<Entry> entries) {
   Build(&entries);
 }
 
-void FlatBoxIndex::Insert(const Box& box, uint64_t id) {
-  if (dim_ == 0) dim_ = box.dim();
-  STHIST_DCHECK(box.dim() == dim_);
-  const size_t at = ov_bounds_.size();
-  ov_bounds_.resize(at + 2 * dim_);
-  for (size_t d = 0; d < dim_; ++d) {
-    ov_bounds_[at + d] = box.lo(d);
-    ov_bounds_[at + dim_ + d] = box.hi(d);
-  }
-  ov_ids_.push_back(id);
-  ++size_;
-  // Fold the tail back into the tree before the linear scan starts to eat
-  // into the probe's log-time budget. The threshold keeps compactions
-  // amortized O(log n) per insert.
-  if (ov_ids_.size() > std::max<size_t>(32, size_ / 16)) Compact();
-}
-
-std::vector<FlatBoxIndex::Entry> FlatBoxIndex::CollectEntries() const {
-  std::vector<Entry> entries;
-  entries.reserve(size_);
-  std::vector<double> lo(dim_), hi(dim_);
-  for (size_t slot = 0; slot < stride_; ++slot) {
-    if (ids_[slot] == kPadId) continue;
-    for (size_t d = 0; d < dim_; ++d) {
-      lo[d] = lo_[d * stride_ + slot];
-      hi[d] = hi_[d * stride_ + slot];
-    }
-    entries.push_back({Box(lo, hi), ids_[slot]});
-  }
-  for (size_t i = 0; i < ov_ids_.size(); ++i) {
-    const double* bounds = ov_bounds_.data() + i * 2 * dim_;
-    for (size_t d = 0; d < dim_; ++d) {
-      lo[d] = bounds[d];
-      hi[d] = bounds[dim_ + d];
-    }
-    entries.push_back({Box(lo, hi), ov_ids_[i]});
-  }
-  return entries;
-}
-
-void FlatBoxIndex::Compact() {
-  const uint64_t compactions = compactions_ + 1;
-  Bulk(CollectEntries());
-  compactions_ = compactions;
-}
-
 FlatBoxIndex::ProbeStats FlatBoxIndex::Probe(
     const Box& query, BoxOverlap mode, std::vector<uint64_t>* out) const {
   STHIST_DCHECK(out != nullptr);
@@ -209,63 +160,41 @@ FlatBoxIndex::ProbeStats FlatBoxIndex::Probe(
   const double* qhi = query.hi_data();
   const bool closed = mode == BoxOverlap::kClosed;
 
-  if (!nodes_.empty()) {
-    int32_t stack[kMaxStack];
-    int top = 0;
-    stack[top++] = 0;
-    uint32_t hits[kLeafCapacity];
-    while (top > 0) {
-      const int32_t id = stack[--top];
-      ++stats.node_visits;
-      // Closed overlap is a superset of open-interior overlap, so it is a
-      // valid prune for both modes.
-      const double* nlo = node_lo_.data() + static_cast<size_t>(id) * dim_;
-      const double* nhi = node_hi_.data() + static_cast<size_t>(id) * dim_;
-      bool overlap = true;
-      for (size_t d = 0; d < dim_; ++d) {
-        if (nhi[d] < qlo[d] || qhi[d] < nlo[d]) {
-          overlap = false;
-          break;
-        }
-      }
-      if (!overlap) continue;
-      const Node& node = nodes_[id];
-      if (!node.leaf()) {
-        STHIST_DCHECK(top + 2 <= kMaxStack);
-        stack[top++] = node.left + 1;
-        stack[top++] = node.left;
-        continue;
-      }
-      stats.entry_blocks += node.count / kBlock;
-      const size_t n =
-          simd::MatchBoxes(lo_.data(), hi_.data(), stride_, dim_, node.first,
-                           node.count, qlo, qhi, closed, hits);
-      for (size_t i = 0; i < n; ++i) {
-        const uint64_t entry_id = ids_[hits[i]];
-        // Sentinel slots cannot match a finite query, but an all-infinite
-        // query would see them in closed mode; filter explicitly.
-        if (entry_id != kPadId) out->push_back(entry_id);
+  int32_t stack[kMaxStack];
+  int top = 0;
+  stack[top++] = 0;
+  uint32_t hits[kLeafCapacity];
+  while (top > 0) {
+    const int32_t id = stack[--top];
+    ++stats.node_visits;
+    // Closed overlap is a superset of open-interior overlap, so it is a
+    // valid prune for both modes.
+    const double* nlo = node_lo_.data() + static_cast<size_t>(id) * dim_;
+    const double* nhi = node_hi_.data() + static_cast<size_t>(id) * dim_;
+    bool overlap = true;
+    for (size_t d = 0; d < dim_; ++d) {
+      if (nhi[d] < qlo[d] || qhi[d] < nlo[d]) {
+        overlap = false;
+        break;
       }
     }
-  }
-
-  if (!ov_ids_.empty()) {
-    ++stats.node_visits;
-    stats.entry_blocks +=
-        static_cast<uint32_t>((ov_ids_.size() + kBlock - 1) / kBlock);
-    for (size_t i = 0; i < ov_ids_.size(); ++i) {
-      const double* elo = ov_bounds_.data() + i * 2 * dim_;
-      const double* ehi = elo + dim_;
-      bool hit = true;
-      for (size_t d = 0; d < dim_; ++d) {
-        const bool miss = closed ? (ehi[d] < qlo[d] || qhi[d] < elo[d])
-                                 : (ehi[d] <= qlo[d] || elo[d] >= qhi[d]);
-        if (miss) {
-          hit = false;
-          break;
-        }
-      }
-      if (hit) out->push_back(ov_ids_[i]);
+    if (!overlap) continue;
+    const Node& node = nodes_[id];
+    if (!node.leaf()) {
+      STHIST_DCHECK(top + 2 <= kMaxStack);
+      stack[top++] = node.left + 1;
+      stack[top++] = node.left;
+      continue;
+    }
+    stats.entry_blocks += node.count / kBlock;
+    const size_t n =
+        simd::MatchBoxes(lo_.data(), hi_.data(), stride_, dim_, node.first,
+                         node.count, qlo, qhi, closed, hits);
+    for (size_t i = 0; i < n; ++i) {
+      const uint64_t entry_id = ids_[hits[i]];
+      // Sentinel slots cannot match a finite query, but an all-infinite
+      // query would see them in closed mode; filter explicitly.
+      if (entry_id != kPadId) out->push_back(entry_id);
     }
   }
   return stats;

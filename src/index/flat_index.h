@@ -36,16 +36,14 @@ enum class BoxOverlap {
 /// block width with never-matching sentinel bounds (`lo = +inf, hi = -inf`),
 /// so the kernel always runs full blocks.
 ///
-/// Maintenance. `Bulk` rebuilds from scratch; `Insert` appends to a small
-/// overflow tail (scanned contiguously on every probe) and folds the whole
-/// index into a fresh bulk build once the tail outgrows its budget. Insert
-/// is the incremental path a pure-drill append takes in the §10 maintenance
-/// table.
+/// Maintenance. `Bulk` is the only way in: it rebuilds from scratch, and the
+/// bucket index calls it again after every structural change (the §10
+/// maintenance policy).
 ///
 /// Probes are const, allocation-free once `out`'s capacity is warm
 /// (fixed-size traversal stack, fixed per-leaf hit buffer), and safe to run
-/// concurrently; Bulk/Insert require exclusive access. Probes append the ids
-/// of matching entries in unspecified order, without ranking or
+/// concurrently; Bulk and Clear require exclusive access. Probes append the
+/// ids of matching entries in unspecified order, without ranking or
 /// deduplication.
 class FlatBoxIndex {
  public:
@@ -57,8 +55,7 @@ class FlatBoxIndex {
 
   /// Work done by one probe, for the index.flat.* metrics (DESIGN.md §13).
   struct ProbeStats {
-    /// Tree nodes touched (including pruned ones), plus one for the
-    /// overflow tail when it was scanned.
+    /// Tree nodes touched (including pruned ones).
     uint32_t node_visits = 0;
     /// SIMD-width entry blocks run through the intersection kernel.
     uint32_t entry_blocks = 0;
@@ -72,25 +69,14 @@ class FlatBoxIndex {
   /// Replaces the contents with `entries`. O(n log n).
   void Bulk(std::vector<Entry> entries);
 
-  /// Appends one entry to the overflow tail; compacts (full rebuild) when
-  /// the tail outgrows max(32, size/16) entries.
-  void Insert(const Box& box, uint64_t id);
-
   /// Appends the ids of every entry whose box overlaps `query` under `mode`
   /// to `out` (not cleared first). Order unspecified.
   ProbeStats Probe(const Box& query, BoxOverlap mode,
                    std::vector<uint64_t>* out) const;
 
-  /// Number of entries held (tree + overflow tail).
+  /// Number of entries held.
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
-
-  /// Entries currently in the unindexed overflow tail.
-  size_t overflow_size() const { return ov_ids_.size(); }
-
-  /// Overflow folds performed since construction (survives Clear is NOT
-  /// guaranteed — Clear resets it like everything else).
-  uint64_t compactions() const { return compactions_; }
 
  private:
   // Leaf fan-out before padding. Wide because the vectorized leaf scan makes
@@ -116,30 +102,14 @@ class FlatBoxIndex {
 
   // Builds nodes_/planes from `entries` (consumed; reordered in place).
   void Build(std::vector<Entry>* entries);
-  // Reconstructs every live entry (tree slots minus padding, plus the
-  // overflow tail) for a compaction rebuild.
-  std::vector<Entry> CollectEntries() const;
-  // Folds the overflow tail into a fresh bulk build.
-  void Compact();
 
   size_t dim_ = 0;
   size_t size_ = 0;
-
-  // --- Bulk-built tree ---
   size_t stride_ = 0;            // Padded slot count per plane.
   std::vector<double> lo_, hi_;  // Entry bound planes, [d * stride_ + slot].
   std::vector<uint64_t> ids_;    // slot -> entry id; kPadId on padding.
   std::vector<Node> nodes_;      // BFS order; nodes_[0] is the root.
   std::vector<double> node_lo_, node_hi_;  // Node bounds, [node * dim_ + d].
-
-  // --- Overflow tail (since the last build) ---
-  // Entry-major bounds: entry i occupies [i * 2 * dim_, (i + 1) * 2 * dim_),
-  // lo first then hi. Contiguous, so the scan stays cache-friendly even
-  // though it is scalar.
-  std::vector<double> ov_bounds_;
-  std::vector<uint64_t> ov_ids_;
-
-  uint64_t compactions_ = 0;
 };
 
 }  // namespace sthist

@@ -1,13 +1,10 @@
 // FlatBoxIndex battery (DESIGN.md §15):
 //  - correctness: probes match a brute-force scan across dimensionalities,
-//    seeds, entry counts, degenerate boxes, and both overlap modes, for
-//    bulk-built, insert-built, and mixed indexes;
+//    seeds, entry counts, degenerate boxes, and both overlap modes;
 //  - kernel identity: the vectorized and forced-scalar kernels report the
 //    same hits in the same order, so the dispatch choice is unobservable;
 //  - sentinel safety: padded slots are never reported, even to an
 //    all-infinite closed-mode query that their sentinel bounds would match;
-//  - maintenance: the overflow tail compacts on schedule without changing
-//    probe results;
 //  - allocation: the steady-state probe path — both the raw index and a
 //    full STHoles::Estimate through BucketTreeIndex — performs zero heap
 //    allocations, counted via a global operator new hook.
@@ -152,7 +149,7 @@ TEST(FlatBoxIndexTest, EmptyIndexProbesNothing) {
 
 TEST(FlatBoxIndexTest, ProbeAppendsWithoutClearing) {
   FlatBoxIndex index;
-  index.Insert(Box::Cube(2, 0.0, 10.0), 7);
+  index.Bulk({{Box::Cube(2, 0.0, 10.0), 7}});
   std::vector<uint64_t> out = {42};
   index.Probe(Box::Cube(2, 1.0, 2.0), BoxOverlap::kOpenInterior, &out);
   EXPECT_EQ(out, (std::vector<uint64_t>{42, 7}));
@@ -171,38 +168,7 @@ TEST_P(FlatBoxIndexRandomTest, BulkMatchesBruteForce) {
   FlatBoxIndex index;
   index.Bulk(entries);
   EXPECT_EQ(index.size(), entries.size());
-  EXPECT_EQ(index.overflow_size(), 0u);
   ExpectProbesMatchBruteForce(index, entries, dim, seed ^ 0x9e3779b9);
-}
-
-TEST_P(FlatBoxIndexRandomTest, InsertMatchesBruteForce) {
-  const auto [dim, seed, count] = GetParam();
-  Rng rng(seed);
-  std::vector<FlatBoxIndex::Entry> entries;
-  FlatBoxIndex index;
-  for (size_t i = 0; i < count; ++i) {
-    entries.push_back({RandomBox(dim, &rng, /*degenerate_p=*/0.05), i});
-    index.Insert(entries.back().box, entries.back().id);
-  }
-  EXPECT_EQ(index.size(), entries.size());
-  ExpectProbesMatchBruteForce(index, entries, dim, seed ^ 0x51ed270b);
-}
-
-TEST_P(FlatBoxIndexRandomTest, BulkThenInsertMatchesBruteForce) {
-  const auto [dim, seed, count] = GetParam();
-  Rng rng(seed);
-  std::vector<FlatBoxIndex::Entry> entries;
-  for (size_t i = 0; i < count; ++i) {
-    entries.push_back({RandomBox(dim, &rng, /*degenerate_p=*/0.05), i});
-  }
-  FlatBoxIndex index;
-  const size_t half = count / 2;
-  index.Bulk({entries.begin(), entries.begin() + half});
-  for (size_t i = half; i < count; ++i) {
-    index.Insert(entries[i].box, entries[i].id);
-  }
-  EXPECT_EQ(index.size(), entries.size());
-  ExpectProbesMatchBruteForce(index, entries, dim, seed ^ 0xc2b2ae35);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -220,8 +186,7 @@ TEST(FlatBoxIndexTest, DegenerateEntryProbeModes) {
   FlatBoxIndex index;
   Box inside = Box::Cube(2, 5.0, 5.0);      // Zero extent, strictly interior.
   Box boundary = Box::Cube(2, 10.0, 10.0);  // Zero extent, on the boundary.
-  index.Insert(inside, 1);
-  index.Insert(boundary, 2);
+  index.Bulk({{inside, 1}, {boundary, 2}});
   Box covering = Box::Cube(2, 0.0, 10.0);
   std::vector<uint64_t> open, closed;
   index.Probe(covering, BoxOverlap::kOpenInterior, &open);
@@ -232,7 +197,7 @@ TEST(FlatBoxIndexTest, DegenerateEntryProbeModes) {
 
 TEST(FlatBoxIndexTest, TouchingBoxesVisibleOnlyToClosedProbes) {
   FlatBoxIndex index;
-  index.Insert(Box::Cube(2, 0.0, 5.0), 1);
+  index.Bulk({{Box::Cube(2, 0.0, 5.0), 1}});
   Box touching = Box::Cube(2, 5.0, 10.0);  // Shares only the corner at (5,5).
   std::vector<uint64_t> open, closed;
   index.Probe(touching, BoxOverlap::kOpenInterior, &open);
@@ -243,15 +208,17 @@ TEST(FlatBoxIndexTest, TouchingBoxesVisibleOnlyToClosedProbes) {
 
 TEST(FlatBoxIndexTest, ClearResetsToEmpty) {
   Rng rng(5);
+  std::vector<FlatBoxIndex::Entry> entries;
+  for (uint64_t i = 0; i < 50; ++i) entries.push_back({RandomBox(3, &rng), i});
   FlatBoxIndex index;
-  for (uint64_t i = 0; i < 50; ++i) index.Insert(RandomBox(3, &rng), i);
+  index.Bulk(entries);
   EXPECT_EQ(index.size(), 50u);
   index.Clear();
   EXPECT_TRUE(index.empty());
   std::vector<uint64_t> out;
   index.Probe(Box::Cube(3, 0.0, 200.0), BoxOverlap::kClosed, &out);
   EXPECT_TRUE(out.empty());
-  index.Insert(Box::Cube(3, 0.0, 1.0), 9);
+  index.Bulk({{Box::Cube(3, 0.0, 1.0), 9}});
   index.Probe(Box::Cube(3, 0.0, 200.0), BoxOverlap::kClosed, &out);
   EXPECT_EQ(out, std::vector<uint64_t>{9});
 }
@@ -260,7 +227,7 @@ TEST(FlatBoxIndexTest, ClearResetsToEmpty) {
 // volume is exactly 0.0, so a partition guided by volume could not tell the
 // entries apart. The center-spread median split still separates them, so a
 // point probe resolves in a few root-to-leaf paths instead of scanning the
-// whole tree, whether the entries arrive in bulk or through Insert.
+// whole tree.
 TEST(FlatBoxIndexTest, HighDimZeroVolumeEntriesStayDiscriminating) {
   constexpr size_t kDim = 16;
   constexpr size_t kCount = 512;
@@ -273,28 +240,26 @@ TEST(FlatBoxIndexTest, HighDimZeroVolumeEntriesStayDiscriminating) {
   }
   Rng rng(61);
   rng.Shuffle(&entries);
-  FlatBoxIndex bulk;
-  bulk.Bulk(entries);
-  FlatBoxIndex inserted;
-  for (const FlatBoxIndex::Entry& e : entries) inserted.Insert(e.box, e.id);
+  FlatBoxIndex index;
+  index.Bulk(entries);
 
-  for (const FlatBoxIndex* index : {&bulk, &inserted}) {
-    uint32_t max_visits = 0;
-    for (const FlatBoxIndex::Entry& e : entries) {
-      std::vector<uint64_t> out;
-      const FlatBoxIndex::ProbeStats stats =
-          index->Probe(e.box, BoxOverlap::kClosed, &out);
-      max_visits = std::max(max_visits, stats.node_visits);
-      EXPECT_EQ(out, std::vector<uint64_t>{e.id}) << "entry " << e.id;
-    }
-    EXPECT_LE(max_visits, 40u);
+  uint32_t max_visits = 0;
+  for (const FlatBoxIndex::Entry& e : entries) {
+    std::vector<uint64_t> out;
+    const FlatBoxIndex::ProbeStats stats =
+        index.Probe(e.box, BoxOverlap::kClosed, &out);
+    max_visits = std::max(max_visits, stats.node_visits);
+    EXPECT_EQ(out, std::vector<uint64_t>{e.id}) << "entry " << e.id;
   }
+  EXPECT_LE(max_visits, 40u);
 }
 
 TEST(FlatBoxIndexTest, DuplicateBoxesAllReported) {
-  FlatBoxIndex index;
   Box box = Box::Cube(2, 1.0, 2.0);
-  for (uint64_t i = 0; i < 20; ++i) index.Insert(box, i);
+  std::vector<FlatBoxIndex::Entry> entries;
+  for (uint64_t i = 0; i < 20; ++i) entries.push_back({box, i});
+  FlatBoxIndex index;
+  index.Bulk(entries);
   std::vector<uint64_t> out;
   index.Probe(box, BoxOverlap::kOpenInterior, &out);
   std::vector<uint64_t> want(20);
@@ -325,23 +290,6 @@ TEST(FlatBoxIndexTest, InfiniteQueryNeverReportsPadSlots) {
     EXPECT_EQ(Sorted(std::move(out)), want)
         << (mode == BoxOverlap::kClosed ? "closed" : "open");
   }
-}
-
-// Inserts eventually fold the overflow tail back into the tree; results must
-// be identical before and after the fold.
-TEST(FlatBoxIndexTest, OverflowTailCompactsOnSchedule) {
-  Rng rng(23);
-  std::vector<FlatBoxIndex::Entry> entries;
-  FlatBoxIndex index;
-  for (uint64_t i = 0; i < 200; ++i) {
-    entries.push_back({RandomBox(2, &rng, /*degenerate_p=*/0.05), i});
-    index.Insert(entries.back().box, entries.back().id);
-  }
-  // The tail budget is max(32, size/16), so 200 straight inserts must have
-  // folded at least once, and the residual tail must be within budget.
-  EXPECT_GE(index.compactions(), 1u);
-  EXPECT_LE(index.overflow_size(), std::max<size_t>(32, index.size() / 16));
-  ExpectProbesMatchBruteForce(index, entries, 2, 29);
 }
 
 TEST(FlatBoxIndexTest, ProbeStatsCountWork) {
@@ -379,11 +327,11 @@ TEST(FlatBoxIndexTest, ProbeStatsCountWork) {
 TEST(FlatIndexAllocationTest, WarmProbeDoesNotAllocate) {
   Rng rng(37);
   std::vector<FlatBoxIndex::Entry> entries;
-  FlatBoxIndex index;
   for (uint64_t i = 0; i < 400; ++i) {
     entries.push_back({RandomBox(4, &rng), i});
-    index.Insert(entries.back().box, entries.back().id);
   }
+  FlatBoxIndex index;
+  index.Bulk(entries);
   std::vector<Box> queries;
   for (size_t i = 0; i < 50; ++i) queries.push_back(RandomBox(4, &rng));
 

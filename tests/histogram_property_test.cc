@@ -228,7 +228,7 @@ TEST_P(HistogramPropertyTest, EstimatesAreBitwiseDeterministic) {
 
     // Concurrent cold readers: a twin that has never been estimated, raced
     // by 4 threads released together, each walking every probe from its own
-    // offset — so lazy index and plane builds race from cold, the way
+    // offset — so lazy index builds race from cold, the way
     // serving readers hit a freshly published snapshot. Every answer must
     // match the serial one bit for bit.
     std::unique_ptr<Histogram> cold = GetParam().make(*s);

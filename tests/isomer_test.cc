@@ -7,6 +7,7 @@
 #include "core/rng.h"
 #include "data/generators.h"
 #include "histogram/stholes.h"
+#include "obs/metrics.h"
 #include "workload/query.h"
 #include "workload/workload.h"
 
@@ -25,6 +26,40 @@ TEST(IsomerTest, FreshHistogramIsUniform) {
   EXPECT_DOUBLE_EQ(h.Estimate(Box::Cube(2, 0, 100)), 1000.0);
   EXPECT_DOUBLE_EQ(h.Estimate(Box::Cube(2, 0, 50)), 250.0);
   EXPECT_EQ(h.constraint_count(), 1u) << "the cardinality constraint";
+}
+
+// Solve builds the bucket index; a later drill that moves no child
+// invalidates it, and the next Solve rebuilds it.
+TEST(IsomerTest, DrillInvalidatesBuiltIndexAndSolveRebuildsIt) {
+  Dataset data(2);
+  Rng rng(4);
+  Point p(2);
+  for (int i = 0; i < 400; ++i) {
+    p[0] = rng.Uniform(0, 100);
+    p[1] = rng.Uniform(0, 100);
+    data.Append(p);
+  }
+  Executor executor(data);
+  obs::MetricsRegistry registry;
+  IsomerConfig config = Config(10);
+  config.metrics = &registry;
+  IsomerHistogram h(Box::Cube(2, 0, 100), 400, config);
+  const obs::Counter builds = registry.counter("index.bucket_tree.builds");
+  const obs::Counter invalidations =
+      registry.counter("index.bucket_tree.invalidations");
+
+  h.Refine(Box::Cube(2, 10, 30), executor);
+  ASSERT_EQ(h.bucket_count(), 1u);
+  const uint64_t built = builds.value();
+  const uint64_t invalidated = invalidations.value();
+  ASSERT_GE(built, 1u) << "Solve probes through the index";
+
+  // The only drill goes into the root, beside the existing child.
+  h.Refine(Box::Cube(2, 60, 70), executor);
+  ASSERT_EQ(h.bucket_count(), 2u);
+  EXPECT_EQ(invalidations.value(), invalidated + 1);
+  EXPECT_EQ(builds.value(), built + 1);
+  h.CheckInvariants();
 }
 
 TEST(IsomerTest, SingleConstraintBecomesConsistent) {
