@@ -177,6 +177,7 @@ class STHoles : public Histogram {
     obs::Gauge buckets;
     obs::LatencyHistogram refine_seconds;
     obs::LatencyHistogram drill_seconds;
+    obs::LatencyHistogram merge_search_seconds;
     obs::LatencyHistogram merge_seconds;
     // COW publish accounting (DESIGN.md §17): nodes path-copied by refines,
     // snapshots taken, and how much of the tree the latest snapshot shares
