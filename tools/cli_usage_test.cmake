@@ -53,6 +53,16 @@ expect_exit(1 "--buckets"
 expect_exit(1 "--alpha"
   serve-sim --drift cross-move --queries 400 --readers 0 --alpha 5)
 
+# Thread counts above the limit exit 1 before any thread starts.
+expect_exit(1 "--refiners" fleet-sim --refiners 100000)
+expect_exit(1 "--readers" fleet-sim --readers 100000)
+expect_exit(1 "--readers" serve-sim --tuples 2000 --readers 100000)
+expect_exit(1 "--readers"
+  serve-sim --drift cross-move --queries 400 --readers 100000)
+expect_exit(1 "--threads"
+  sweep --dataset cross --tuples 2000 --train 10 --sim 10 --buckets 10
+  --threads 100000)
+
 # Flags the command or the serve-sim mode does not read exit 2.
 expect_exit(2 "--clusterer"
   experiment --dataset cross --tuples 3000 --train 50 --sim 50 --buckets 30

@@ -70,6 +70,11 @@ constexpr int kExitOk = 0;
 constexpr int kExitFailure = 1;
 constexpr int kExitUsage = 2;
 
+// Most threads --refiners, --readers or --threads may start. Those threads
+// start before a command prints anything, so an unbounded value could
+// exhaust the machine's process ids; a larger value exits 1.
+constexpr size_t kMaxThreads = 1024;
+
 // ---------------------------------------------------------------------------
 // Tiny flag parser: --name value and boolean --name.
 // ---------------------------------------------------------------------------
@@ -185,6 +190,16 @@ class Flags {
     const Status status = CheckAllowed(allowed);
     if (status.ok()) return status;
     return Status::InvalidArgument(status.message() + " in " + mode);
+  }
+
+  /// Rejects a thread-count flag above kMaxThreads, naming the flag and the
+  /// limit. Commands call it right after their flag check.
+  Status CheckThreadLimit(const char* name) const {
+    const size_t value = Size(name, 0);
+    if (value <= kMaxThreads) return Status::Ok();
+    return StatusF(StatusCode::kInvalidArgument,
+                   "--%s %zu is above the limit of %zu threads", name, value,
+                   kMaxThreads);
   }
 
   bool Has(const std::string& name) const { return values_.count(name) > 0; }
@@ -581,6 +596,7 @@ Status RunSweepCommand(const Flags& flags) {
        "volume", "init", "both", "reversed", "freeze", "data-centers",
        "threads", "estimator"},
       /*lists=*/{"buckets", "seeds"}));
+  STHIST_RETURN_IF_ERROR(flags.CheckThreadLimit("threads"));
   StatusOr<ExperimentConfig> base = ExperimentConfigFromFlags(flags);
   if (!base.ok()) return base.status();
   StatusOr<GeneratedData> g = ResolveDataset(flags);
@@ -851,6 +867,7 @@ Status RunServeSimDrift(const Flags& flags) {
       "serve-sim drift mode",
       {STHIST_SERVE_FLAGS, "dim", "readers", STHIST_DRIFT_FLAGS,
        STHIST_FAULT_FLAGS, STHIST_REINIT_FLAGS}));
+  STHIST_RETURN_IF_ERROR(flags.CheckThreadLimit("readers"));
   STHIST_RETURN_IF_ERROR(CheckTrainingFlags(flags));
   StatusOr<DriftScenario> scenario =
       ParseDriftScenario(flags.Str("drift", "cross-move"));
@@ -1215,6 +1232,7 @@ Status RunServeSim(const Flags& flags) {
       "serve-sim concurrent mode",
       {STHIST_SERVE_FLAGS, STHIST_DATASET_FLAGS, "readers",
        STHIST_FAULT_FLAGS}));
+  STHIST_RETURN_IF_ERROR(flags.CheckThreadLimit("readers"));
   STHIST_RETURN_IF_ERROR(CheckTrainingFlags(flags));
   StatusOr<GeneratedData> g = ResolveDataset(flags);
   if (!g.ok()) return g.status();
@@ -1330,6 +1348,8 @@ Status RunFleetSim(const Flags& flags) {
       {STHIST_COMMON_FLAGS, "tenants", "refiners", "queries", "buckets",
        "readers", "pace", "seed", "queue-cap", "publish-batch", "snapshot",
        "restore"}));
+  STHIST_RETURN_IF_ERROR(flags.CheckThreadLimit("refiners"));
+  STHIST_RETURN_IF_ERROR(flags.CheckThreadLimit("readers"));
 
   size_t tenants = flags.Size("tenants", 16);
   const size_t per_tenant = flags.Size("queries", 64);
@@ -1638,9 +1658,12 @@ void PrintUsage() {
       "every command accepts --metrics-json <path>: export the run's\n"
       "metrics registry (counters, gauges, latency histograms) as JSON\n"
       "\n"
+      "--refiners, --readers and --threads start at most 1024 threads\n"
+      "\n"
       "exit codes: 0 ok, 1 runtime failure (including out-of-range values\n"
-      "such as --alpha 5), 2 usage error (unknown flag, a flag the command\n"
-      "or mode does not read, malformed number)\n",
+      "such as --alpha 5 or a thread count above 1024), 2 usage error\n"
+      "(unknown flag, a flag the command or mode does not read, malformed\n"
+      "number)\n",
       stderr);
 }
 
