@@ -132,6 +132,36 @@ TEST(CowTreeTest, SnapshotMatchesCloneAfterEveryRefine) {
   EXPECT_GT(metrics.counter("histogram.cow.copied_nodes").value(), 0u);
 }
 
+// Merge search keys its scores by bucket content, not by address: a tree
+// refined while the previous epoch's snapshot is held (so a merge path-copies
+// shared ancestors between two searches of one refine) merges exactly like a
+// twin refined without snapshots (whose freed buckets' addresses are free to
+// be reused by the buckets it allocates next). Gauss-6d grows the depth that
+// puts merges below shared ancestors.
+TEST(CowTreeTest, SnapshotsDoNotChangeMergeChoices) {
+  GaussConfig gauss;
+  gauss.cluster_tuples = 4000;
+  gauss.noise_tuples = 400;
+  const GeneratedData g = MakeGauss(gauss);
+  const Executor executor(g.data);
+  obs::MetricsRegistry metrics;
+  const double tuples = static_cast<double>(g.data.size());
+  STHoles shared(g.domain, tuples, Budget(40, &metrics));
+  STHoles plain(g.domain, tuples, Budget(40));
+
+  std::shared_ptr<const Histogram> prev;
+  for (const Box& q : MakeWorkload(
+           g.domain, {60, 0.01, CenterDistribution::kUniform, 7})) {
+    shared.Refine(q, executor);
+    plain.Refine(q, executor);
+    ASSERT_EQ(shared.SerializeBinary(), plain.SerializeBinary())
+        << q.ToString();
+    prev = shared.Snapshot();
+  }
+  EXPECT_GT(metrics.counter("histogram.stholes.merges").value(), 0u);
+  EXPECT_GT(metrics.counter("histogram.cow.copied_nodes").value(), 0u);
+}
+
 // (2): snapshots taken at every epoch stay frozen while the source keeps
 // refining — each one still reproduces the estimates recorded the moment it
 // was taken, and CheckInvariants still passes on the shared structure.
