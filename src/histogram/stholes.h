@@ -183,9 +183,11 @@ class STHoles : public Histogram {
     obs::LatencyHistogram oracle_count_seconds;
     obs::LatencyHistogram merge_search_seconds;
     obs::LatencyHistogram merge_seconds;
-    // Merge-search work: cheap sibling-pair scores and ComputeSiblingMerge
-    // calls, added once per search.
+    // Merge-search work: cheap sibling-pair scores, pairs offered to a
+    // row's ranking and exact sibling-merge evaluations, added once per
+    // search.
     obs::Counter merge_pairs_scored;
+    obs::Counter merge_pairs_ranked;
     obs::Counter merge_exact_evaluations;
     // COW publish accounting (DESIGN.md §17): nodes path-copied by refines,
     // snapshots taken, and how much of the tree the latest snapshot shares
@@ -246,8 +248,6 @@ class STHoles : public Histogram {
   // Returns the cheapest merge, or parent == nullptr when no merge exists
   // (single root), rescoring through `table` only what changed.
   MergeCandidate FindBestMerge(MergeTable* table) const;
-  void ComputeSiblingMerge(Bucket* parent, Bucket* b1, Bucket* b2,
-                           MergeCandidate* out) const;
   void ApplyMerge(const MergeCandidate& merge);
   void EnforceBudget();
 

@@ -435,8 +435,13 @@ TEST(STHolesTest, OracleCountsShrinksAndMergeWorkAreRecorded) {
 
   const uint64_t merges = registry.counter("histogram.stholes.merges").value();
   EXPECT_GT(merges, 0u);
-  EXPECT_GT(registry.counter("histogram.stholes.merge_pairs_scored").value(),
-            0u);
+  const uint64_t scored =
+      registry.counter("histogram.stholes.merge_pairs_scored").value();
+  EXPECT_GT(scored, 0u);
+  // Every scored pair is offered to its row's ranking, and a re-ranked
+  // row offers its unchanged pairs too.
+  EXPECT_GE(registry.counter("histogram.stholes.merge_pairs_ranked").value(),
+            scored);
   EXPECT_GT(
       registry.counter("histogram.stholes.merge_exact_evaluations").value(),
       0u);
