@@ -2,50 +2,51 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
 
 #include "core/check.h"
 
 namespace sthist {
 
 KdTree::KdTree(const Dataset& data, size_t leaf_size)
-    : data_(data), leaf_size_(leaf_size) {
+    : data_(data), dim_(data.dim()), leaf_size_(leaf_size) {
   STHIST_CHECK(leaf_size_ >= 1);
   order_.resize(data.size());
   for (uint32_t i = 0; i < order_.size(); ++i) order_[i] = i;
   if (!order_.empty()) {
-    nodes_.reserve(2 * order_.size() / leaf_size_ + 2);
-    root_ = Build(0, static_cast<uint32_t>(order_.size()), 0);
+    const size_t nodes = 2 * order_.size() / leaf_size_ + 2;
+    nodes_.reserve(nodes);
+    bounds_.reserve(nodes * 2 * dim_);
+    root_ = Build(0, static_cast<uint32_t>(order_.size()));
   }
 }
 
-Box KdTree::TightBounds(uint32_t begin, uint32_t end) const {
-  std::vector<double> lo(data_.dim(), std::numeric_limits<double>::infinity());
-  std::vector<double> hi(data_.dim(),
-                         -std::numeric_limits<double>::infinity());
+int32_t KdTree::Build(uint32_t begin, uint32_t end) {
+  const int32_t id = static_cast<int32_t>(nodes_.size());
+  nodes_.push_back({begin, end, -1, -1});
+  const size_t base = bounds_.size();
+  bounds_.resize(base + 2 * dim_);
+  // Valid until the children append their bounds.
+  double* lo = bounds_.data() + base;
+  double* hi = lo + dim_;
+  std::fill(lo, hi, std::numeric_limits<double>::infinity());
+  std::fill(hi, hi + dim_, -std::numeric_limits<double>::infinity());
   for (uint32_t i = begin; i < end; ++i) {
     std::span<const double> p = data_.row(order_[i]);
-    for (size_t d = 0; d < data_.dim(); ++d) {
+    for (size_t d = 0; d < dim_; ++d) {
       lo[d] = std::min(lo[d], p[d]);
       hi[d] = std::max(hi[d], p[d]);
     }
   }
-  return Box(std::move(lo), std::move(hi));
-}
-
-int32_t KdTree::Build(uint32_t begin, uint32_t end, size_t depth) {
-  Node node;
-  node.begin = begin;
-  node.end = end;
-  node.bounds = TightBounds(begin, end);
 
   if (end - begin > leaf_size_) {
     // Split on the widest dimension of the tight bounds; this adapts to
     // skewed (clustered) data better than cycling dimensions by depth.
     size_t split_dim = 0;
     double widest = -1.0;
-    for (size_t d = 0; d < data_.dim(); ++d) {
-      if (node.bounds.Extent(d) > widest) {
-        widest = node.bounds.Extent(d);
+    for (size_t d = 0; d < dim_; ++d) {
+      if (hi[d] - lo[d] > widest) {
+        widest = hi[d] - lo[d];
         split_dim = d;
       }
     }
@@ -61,70 +62,92 @@ int32_t KdTree::Build(uint32_t begin, uint32_t end, size_t depth) {
     // Degenerate case: all points equal in every dimension (zero-extent
     // bounds). Keep such runs as one (possibly oversized) leaf.
     if (widest > 0.0) {
-      int32_t left = Build(begin, mid, depth + 1);
-      int32_t right = Build(mid, end, depth + 1);
-      node.left = left;
-      node.right = right;
+      const int32_t left = Build(begin, mid);
+      const int32_t right = Build(mid, end);
+      nodes_[id].left = left;
+      nodes_[id].right = right;
     }
   }
+  return id;
+}
 
-  nodes_.push_back(std::move(node));
-  return static_cast<int32_t>(nodes_.size() - 1);
+KdTree::Overlap KdTree::Classify(int32_t node_id, const double* lo,
+                                 const double* hi) const {
+  const double* node_lo = bounds_.data() + 2 * dim_ * node_id;
+  const double* node_hi = node_lo + dim_;
+  bool contained = true;
+  for (size_t d = 0; d < dim_; ++d) {
+    // Closed intervals: points on the query boundary count, so prune only
+    // when the boxes do not even touch.
+    if (node_hi[d] < lo[d] || node_lo[d] > hi[d]) return Overlap::kDisjoint;
+    contained = contained && !(node_lo[d] < lo[d] || node_hi[d] > hi[d]);
+  }
+  return contained ? Overlap::kContained : Overlap::kPartial;
+}
+
+bool KdTree::PointInside(uint32_t tuple, const double* lo,
+                         const double* hi) const {
+  const double* p = data_.row(tuple).data();
+  for (size_t d = 0; d < dim_; ++d) {
+    if (p[d] < lo[d] || p[d] > hi[d]) return false;
+  }
+  return true;
 }
 
 size_t KdTree::Count(const Box& box) const {
-  STHIST_CHECK(box.dim() == data_.dim());
+  STHIST_CHECK(box.dim() == dim_);
   if (root_ < 0) return 0;
-  return CountNode(root_, box);
+  return CountNode(root_, box.lo_data(), box.hi_data());
 }
 
-size_t KdTree::CountNode(int32_t node_id, const Box& box) const {
+size_t KdTree::CountNode(int32_t node_id, const double* lo,
+                         const double* hi) const {
   const Node& node = nodes_[node_id];
-  // Closed-interval disjointness test: points on the query boundary count,
-  // so prune only when the boxes do not even touch.
-  for (size_t d = 0; d < box.dim(); ++d) {
-    if (node.bounds.hi(d) < box.lo(d) || node.bounds.lo(d) > box.hi(d)) {
+  switch (Classify(node_id, lo, hi)) {
+    case Overlap::kDisjoint:
       return 0;
-    }
+    case Overlap::kContained:
+      return node.end - node.begin;
+    case Overlap::kPartial:
+      break;
   }
-  if (box.Contains(node.bounds)) return node.end - node.begin;
   if (node.left < 0) {
     size_t count = 0;
     for (uint32_t i = node.begin; i < node.end; ++i) {
-      if (box.ContainsPoint(data_.row(order_[i]))) ++count;
+      if (PointInside(order_[i], lo, hi)) ++count;
     }
     return count;
   }
-  return CountNode(node.left, box) + CountNode(node.right, box);
+  return CountNode(node.left, lo, hi) + CountNode(node.right, lo, hi);
 }
 
 void KdTree::Collect(const Box& box, std::vector<size_t>* out) const {
-  STHIST_CHECK(box.dim() == data_.dim());
-  if (root_ >= 0) CollectNode(root_, box, out);
+  STHIST_CHECK(box.dim() == dim_);
+  if (root_ >= 0) CollectNode(root_, box.lo_data(), box.hi_data(), out);
 }
 
-void KdTree::CollectNode(int32_t node_id, const Box& box,
+void KdTree::CollectNode(int32_t node_id, const double* lo, const double* hi,
                          std::vector<size_t>* out) const {
   const Node& node = nodes_[node_id];
-  for (size_t d = 0; d < box.dim(); ++d) {
-    if (node.bounds.hi(d) < box.lo(d) || node.bounds.lo(d) > box.hi(d)) {
+  switch (Classify(node_id, lo, hi)) {
+    case Overlap::kDisjoint:
       return;
-    }
-  }
-  if (box.Contains(node.bounds)) {
-    for (uint32_t i = node.begin; i < node.end; ++i) {
-      out->push_back(order_[i]);
-    }
-    return;
+    case Overlap::kContained:
+      for (uint32_t i = node.begin; i < node.end; ++i) {
+        out->push_back(order_[i]);
+      }
+      return;
+    case Overlap::kPartial:
+      break;
   }
   if (node.left < 0) {
     for (uint32_t i = node.begin; i < node.end; ++i) {
-      if (box.ContainsPoint(data_.row(order_[i]))) out->push_back(order_[i]);
+      if (PointInside(order_[i], lo, hi)) out->push_back(order_[i]);
     }
     return;
   }
-  CollectNode(node.left, box, out);
-  CollectNode(node.right, box, out);
+  CollectNode(node.left, lo, hi, out);
+  CollectNode(node.right, lo, hi, out);
 }
 
 }  // namespace sthist

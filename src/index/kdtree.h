@@ -18,6 +18,8 @@ namespace sthist {
 /// contributes 0, and a subtree whose bounding box lies fully inside the
 /// query contributes its cached size without visiting points.
 ///
+/// Node bounds live in one contiguous array, `dim` lows then `dim` highs
+/// per node, and the disjoint, contained and point tests run inline on it.
 /// The tree references the dataset it was built over; the dataset must
 /// outlive the tree.
 class KdTree {
@@ -41,26 +43,34 @@ class KdTree {
 
  private:
   struct Node {
-    Box bounds;          // Tight bounding box of the subtree's points.
     uint32_t begin = 0;  // Range [begin, end) into order_.
     uint32_t end = 0;
     int32_t left = -1;   // Child node ids; -1 for leaves.
     int32_t right = -1;
   };
 
-  // Recursively builds the subtree over order_[begin, end); returns node id.
-  int32_t Build(uint32_t begin, uint32_t end, size_t depth);
+  // How a node's bounds relate to a query box (closed intervals).
+  enum class Overlap { kDisjoint, kContained, kPartial };
 
-  size_t CountNode(int32_t node_id, const Box& box) const;
-  void CollectNode(int32_t node_id, const Box& box,
+  // Recursively builds the subtree over order_[begin, end) in pre-order;
+  // returns its node id.
+  int32_t Build(uint32_t begin, uint32_t end);
+
+  size_t CountNode(int32_t node_id, const double* lo, const double* hi) const;
+  void CollectNode(int32_t node_id, const double* lo, const double* hi,
                    std::vector<size_t>* out) const;
 
-  Box TightBounds(uint32_t begin, uint32_t end) const;
+  Overlap Classify(int32_t node_id, const double* lo, const double* hi) const;
+  bool PointInside(uint32_t tuple, const double* lo, const double* hi) const;
 
   const Dataset& data_;
+  size_t dim_;
   size_t leaf_size_;
   std::vector<uint32_t> order_;  // Permutation of tuple indices.
   std::vector<Node> nodes_;
+  // Tight bounds of each node's points: for node n, the dim_ lows at
+  // 2 * dim_ * n, then the dim_ highs.
+  std::vector<double> bounds_;
   int32_t root_ = -1;
 };
 
