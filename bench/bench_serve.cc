@@ -98,29 +98,39 @@ obs::MetricsSnapshot::LatencyValue PublishLatency(
   return {};
 }
 
-// Closed-loop readers on the serving tenant: `readers` threads each issue
-// `reads_per_thread` estimates once `start` flips. Returns the wall time.
+using Window = std::chrono::milliseconds;
+
+// Closed-loop readers on the serving tenant: `readers` threads issue
+// estimates from when `start` flips until `window` has passed by the clock.
+// Returns the reads per second of wall time.
 double TimeReads(const ServiceFleet& fleet, const Workload& probes,
-                 size_t readers, size_t reads_per_thread,
-                 std::atomic<bool>& start) {
+                 size_t readers, Window window, std::atomic<bool>& start) {
   std::vector<std::thread> threads;
   threads.reserve(readers);
+  std::atomic<bool> stop{false};
+  std::atomic<size_t> reads{0};
   std::atomic<double> sink{0.0};  // Defeats dead-code elimination.
   for (size_t r = 0; r < readers; ++r) {
     threads.emplace_back([&, r] {
       while (!start.load()) std::this_thread::yield();
       double local = 0.0;
-      for (size_t i = 0; i < reads_per_thread; ++i) {
+      size_t i = 0;
+      for (; !stop.load(std::memory_order_relaxed); ++i) {
         local += *fleet.Estimate(kTenant, probes[(r + i) % probes.size()]);
       }
+      reads.fetch_add(i);
       sink.fetch_add(local);
     });
   }
   auto t0 = std::chrono::steady_clock::now();
   start.store(true);
+  std::this_thread::sleep_for(window);
+  stop.store(true);
   for (std::thread& t : threads) t.join();
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
+  const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  return static_cast<double>(reads.load()) / seconds;
 }
 
 // A feeder thread that keeps the serving tenant's queue saturated from when
@@ -148,12 +158,12 @@ struct Throughput {
   double max_publish_ms = 0.0;
 };
 
-// Runs `readers` threads, each issuing `reads_per_thread` estimates against
-// the serving tenant; when `refine` is set, a feeder thread keeps the
-// feedback queue saturated for the whole measurement window. Each run
-// records into its own registry, so its counters cover exactly this run.
+// Runs `readers` threads issuing estimates against the serving tenant for
+// one `window`; when `refine` is set, a feeder thread keeps the feedback
+// queue saturated for the whole window. Each run records into its own
+// registry, so its counters cover exactly this run.
 Throughput MeasureReads(const ServeBenchSetup& setup, size_t buckets,
-                        size_t readers, size_t reads_per_thread, bool refine) {
+                        size_t readers, Window window, bool refine) {
   obs::MetricsRegistry registry;
   std::unique_ptr<ServiceFleet> fleet = OneTenant(
       MakeTrainedHistogram(setup, buckets), *setup.executor, &registry);
@@ -164,16 +174,15 @@ Throughput MeasureReads(const ServeBenchSetup& setup, size_t buckets,
   if (refine) {
     feeder = StartFeeder(*fleet, setup.feedback, start, stop_feeder);
   }
-  const double seconds =
-      TimeReads(*fleet, setup.probes, readers, reads_per_thread, start);
+  const double reads_per_second =
+      TimeReads(*fleet, setup.probes, readers, window, start);
   stop_feeder.store(true);
   if (feeder.joinable()) feeder.join();
   fleet->Stop();
 
   const FleetStats stats = fleet->stats();
   Throughput result;
-  result.reads_per_second =
-      static_cast<double>(readers * reads_per_thread) / seconds;
+  result.reads_per_second = reads_per_second;
   result.publishes = stats.publishes;
   result.feedback_applied = stats.feedback_applied;
   result.max_publish_ms = PublishLatency(registry).max_seconds * 1e3;
@@ -191,7 +200,7 @@ struct PublishProfile {
 };
 
 PublishProfile MeasurePublish(const ServeBenchSetup& setup, size_t buckets,
-                              size_t readers, size_t reads_per_thread) {
+                              size_t readers, Window window) {
   obs::MetricsRegistry registry;
   std::unique_ptr<ServiceFleet> fleet = OneTenant(
       MakeTrainedHistogram(setup, buckets), *setup.executor, &registry);
@@ -199,14 +208,14 @@ PublishProfile MeasurePublish(const ServeBenchSetup& setup, size_t buckets,
   std::atomic<bool> start{false};
   std::atomic<bool> stop_feeder{false};
   std::thread feeder = StartFeeder(*fleet, setup.feedback, start, stop_feeder);
-  const double seconds =
-      TimeReads(*fleet, setup.probes, readers, reads_per_thread, start);
+  const double reads_per_second =
+      TimeReads(*fleet, setup.probes, readers, window, start);
   stop_feeder.store(true);
   feeder.join();
   fleet->Stop();
 
   PublishProfile profile;
-  profile.live_rps = static_cast<double>(readers * reads_per_thread) / seconds;
+  profile.live_rps = reads_per_second;
   const obs::MetricsSnapshot::LatencyValue latency = PublishLatency(registry);
   profile.publishes = latency.count;
   profile.publish_p99_ms = ApproxP99Seconds(latency) * 1e3;
@@ -223,9 +232,8 @@ PublishProfile MeasurePublish(const ServeBenchSetup& setup, size_t buckets,
 // oracle), so any throughput loss would mean readers couple to the rebuild —
 // the hot-swap contract says they never do.
 double MeasureRebuildWindowRatio(const ServeBenchSetup& setup, size_t buckets,
-                                 size_t readers, size_t reads_per_thread) {
-  Throughput steady =
-      MeasureReads(setup, buckets, readers, reads_per_thread, true);
+                                 size_t readers, Window window) {
+  Throughput steady = MeasureReads(setup, buckets, readers, window, true);
 
   std::mutex gate_mutex;
   std::condition_variable gate_cv;
@@ -284,8 +292,8 @@ double MeasureRebuildWindowRatio(const ServeBenchSetup& setup, size_t buckets,
   std::atomic<bool> stop_feeder{false};
   std::thread feeder =
       StartFeeder(*fleet, setup.feedback, start, stop_feeder, 1e9);
-  const double seconds =
-      TimeReads(*fleet, setup.probes, readers, reads_per_thread, start);
+  const double rebuild_rps =
+      TimeReads(*fleet, setup.probes, readers, window, start);
   stop_feeder.store(true);
   feeder.join();
   {
@@ -295,8 +303,6 @@ double MeasureRebuildWindowRatio(const ServeBenchSetup& setup, size_t buckets,
   gate_cv.notify_all();
   fleet->Stop();
 
-  double rebuild_rps =
-      static_cast<double>(readers * reads_per_thread) / seconds;
   std::printf(
       "rebuild window: %.0f reads/s vs steady %.0f reads/s "
       "(%zu readers, swap %s)\n",
@@ -319,20 +325,21 @@ int main(int argc, char** argv) {
 
   ServeBenchSetup setup = MakeServeSetup(scale, options.seed);
   const size_t buckets = 100;
-  const size_t reads_per_thread = scale.full ? 20000 : 5000;
+  // Every read window lasts this long by the clock, so each spans many
+  // publishes whatever the machine's read speed.
+  const Window window(scale.full ? 1000 : 250);
 
-  std::printf("cross 2-d, %zu tuples, %zu-bucket STHoles, %zu reads/thread\n",
-              setup.g.data.size(), buckets, reads_per_thread);
+  std::printf("cross 2-d, %zu tuples, %zu-bucket STHoles, %lld ms windows\n",
+              setup.g.data.size(), buckets,
+              static_cast<long long>(window.count()));
 
   TablePrinter table({"readers", "idle refiner reads/s", "live refiner reads/s",
                       "ratio", "publishes", "feedback applied",
                       "max publish ms"});
   double worst_ratio = 1e300;
   for (size_t readers : {1u, 2u, 4u, 8u}) {
-    Throughput idle =
-        MeasureReads(setup, buckets, readers, reads_per_thread, false);
-    Throughput live =
-        MeasureReads(setup, buckets, readers, reads_per_thread, true);
+    Throughput idle = MeasureReads(setup, buckets, readers, window, false);
+    Throughput live = MeasureReads(setup, buckets, readers, window, true);
     double ratio = live.reads_per_second / idle.reads_per_second;
     worst_ratio = std::min(worst_ratio, ratio);
     table.AddRow({FormatSize(readers), FormatDouble(idle.reads_per_second, 0),
@@ -343,8 +350,7 @@ int main(int argc, char** argv) {
   }
   table.Print();
 
-  const PublishProfile publish =
-      MeasurePublish(setup, buckets, 2, reads_per_thread);
+  const PublishProfile publish = MeasurePublish(setup, buckets, 2, window);
   std::printf(
       "publish under live load: mean %.4f ms, p99 %.4f ms, live reads "
       "%.0f/s, %zu publishes\n",
@@ -355,7 +361,7 @@ int main(int argc, char** argv) {
   // stay within 10% of the live steady state (the ISSUE's acceptance bound)
   // on a machine with cores to spare; tighter boxes only report.
   const double rebuild_ratio =
-      MeasureRebuildWindowRatio(setup, buckets, 2, reads_per_thread);
+      MeasureRebuildWindowRatio(setup, buckets, 2, window);
   const bool many_cores = std::thread::hardware_concurrency() > 2;
   const double rebuild_floor = many_cores ? 0.9 : 0.0;
 

@@ -419,8 +419,10 @@ class LazyBucketIndex {
   /// Paper eq. 1 for `query` over the tree rooted at `root`. Malformed
   /// queries estimate to 0 and count as rejected. A cold index serves
   /// linearly until estimates repeat on the same structure, then builds;
-  /// both paths return bitwise-identical values, so the policy is
-  /// observable only as wall-clock time.
+  /// a reader that finds another thread building serves linearly too
+  /// rather than queue behind the build. Both paths return
+  /// bitwise-identical values, so the policy is observable only as
+  /// wall-clock time.
   double Estimate(const BucketT& root, const Box& query) {
     if (!IsEstimableQuery(root.box, query)) {
       CountRejected();
@@ -432,7 +434,11 @@ class LazyBucketIndex {
       if (repeats < kIndexBuildAfter) {
         return EstimateNode(root, query, MinRegionVolume(root.box));
       }
-      EnsureIndex(root);
+      std::unique_lock<std::mutex> lock(mutex_, std::try_to_lock);
+      if (!lock.owns_lock()) {
+        return EstimateNode(root, query, MinRegionVolume(root.box));
+      }
+      BuildLocked(root);
     }
     // Thread-local scratch: probe buffers reach steady-state capacity after a
     // few queries and the hottest read path in the system stops allocating
@@ -460,11 +466,7 @@ class LazyBucketIndex {
   /// idempotent) and returns it.
   const BucketTreeIndex<BucketT>& EnsureIndex(const BucketT& root) {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (!ready_.load(std::memory_order_relaxed)) {
-      index_.Rebuild(root);
-      builds_.Inc();
-      ready_.store(true, std::memory_order_release);
-    }
+    BuildLocked(root);
     return index_;
   }
 
@@ -485,6 +487,15 @@ class LazyBucketIndex {
   // build triggers, so a lone estimate inside an Estimate/Refine interleave
   // (learn-during-sim) doesn't pay an O(n log n) rebuild per query.
   static constexpr uint32_t kIndexBuildAfter = 2;
+
+  // Builds the index unless it is current. Requires `mutex_`.
+  void BuildLocked(const BucketT& root) {
+    if (!ready_.load(std::memory_order_relaxed)) {
+      index_.Rebuild(root);
+      builds_.Inc();
+      ready_.store(true, std::memory_order_release);
+    }
+  }
 
   // Serializes builds; probes run lock-free once `ready_` is observed true
   // (acquire) after the builder's release store.
