@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <sstream>
 #include <utility>
 
 #include "core/binfmt.h"
 #include "core/check.h"
+#include "histogram/robustness.h"
 #include "obs/trace.h"
 
 namespace sthist {
@@ -151,16 +153,6 @@ std::unique_ptr<Histogram> KdeHistogram::Clone() const {
   return std::unique_ptr<Histogram>(new KdeHistogram(*this));
 }
 
-bool KdeHistogram::UsableQuery(const Box& query) const {
-  if (query.dim() != dim_) return false;
-  for (size_t d = 0; d < dim_; ++d) {
-    if (!std::isfinite(query.lo(d)) || !std::isfinite(query.hi(d))) {
-      return false;
-    }
-  }
-  return true;
-}
-
 double KdeHistogram::TrivialEstimate(const Box& query) const {
   const double domain_volume = domain_.Volume();
   if (!(domain_volume > 0.0)) return 0.0;
@@ -169,7 +161,7 @@ double KdeHistogram::TrivialEstimate(const Box& query) const {
 
 double KdeHistogram::Estimate(const Box& query) const {
   metrics_.estimates.Inc();
-  if (!UsableQuery(query)) {
+  if (!IsEstimableQuery(domain_, query)) {
     rejected_estimates_.fetch_add(1, std::memory_order_relaxed);
     return 0.0;
   }
@@ -305,41 +297,14 @@ void KdeHistogram::Refine(const Box& query, const CardinalityOracle& oracle) {
   metrics_.refines.Inc();
   obs::ScopedTimer timer(metrics_.refine_seconds);
 
-  if (query.dim() != dim_) {
-    ++refine_robustness_.rejected_queries;
-    return;
-  }
-  Box box = query;
-  bool repaired = false;
-  for (size_t d = 0; d < dim_; ++d) {
-    if (!std::isfinite(box.lo(d)) || !std::isfinite(box.hi(d))) {
-      ++refine_robustness_.rejected_queries;
-      return;
-    }
-    if (box.lo(d) > box.hi(d)) {
-      const double lo = box.hi(d);
-      const double hi = box.lo(d);
-      box.set_lo(d, lo);
-      box.set_hi(d, hi);
-      repaired = true;
-    }
-    const double lo = std::max(box.lo(d), domain_.lo(d));
-    const double hi = std::min(box.hi(d), domain_.hi(d));
-    if (lo > hi) {
-      ++refine_robustness_.rejected_queries;
-      return;
-    }
-    if (lo != box.lo(d) || hi != box.hi(d)) repaired = true;
-    box.set_lo(d, lo);
-    box.set_hi(d, hi);
-  }
-  if (repaired) ++refine_robustness_.sanitized_queries;
-
-  double actual = oracle.Count(box);
-  if (!std::isfinite(actual) || actual < 0.0) {
-    actual = 0.0;
-    ++refine_robustness_.clamped_feedback;
-  }
+  // Query boxes and oracle counts are untrusted: the same repairs and
+  // rejections as the bucket-based families.
+  std::optional<Box> sanitized =
+      SanitizeFeedbackQuery(domain_, query, &refine_robustness_);
+  if (!sanitized.has_value()) return;
+  const Box& box = *sanitized;
+  SanitizingOracle safe(oracle, &refine_robustness_);
+  const double actual = safe.Count(box);
 
   // Bandwidth adaptation against the error this feedback exposed, computed
   // BEFORE the sample absorbs the feedback (the estimate the system would

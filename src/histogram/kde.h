@@ -107,15 +107,17 @@ class KdeHistogram : public Histogram {
   KdeHistogram& operator=(const KdeHistogram&) = delete;
 
   /// Estimated cardinality of `query`: one row-major scan over the sample,
-  /// with no lazily built state. Malformed queries (dimension mismatch,
-  /// non-finite bounds) estimate to 0 and bump the robustness counters
-  /// instead of aborting.
+  /// with no lazily built state. Malformed queries (IsEstimableQuery:
+  /// dimension mismatch, non-finite bounds, an inverted interval) estimate
+  /// to 0 and bump the robustness counters instead of aborting.
   double Estimate(const Box& query) const override;
 
   /// Learns from one executed query: adapts the per-dimension bandwidths
   /// against the observed error (before the sample moves), then folds
   /// mass-weighted synthetic points into the reservoir and re-anchors the
-  /// Scott reference on the updated sample.
+  /// Scott reference on the updated sample. The query and its count pass
+  /// the shared checks first (SanitizeFeedbackQuery, SanitizingOracle), so
+  /// a box of zero volume inside the domain is rejected and counted.
   void Refine(const Box& query, const CardinalityOracle& oracle) override;
 
   /// Deep copy: sample, bandwidths, RNG engines, counters. The clone's
@@ -164,11 +166,6 @@ class KdeHistogram : public Histogram {
   };
 
   KdeHistogram(const KdeHistogram& other);
-
-  /// Shared query validation: true when the box is usable for estimation
-  /// (matching dim, finite bounds). Inverted boxes are usable — they simply
-  /// contain nothing.
-  bool UsableQuery(const Box& query) const;
 
   /// Uniform fallback while the sample is empty.
   double TrivialEstimate(const Box& query) const;

@@ -33,28 +33,6 @@ uint64_t HashKey(std::string_view key) {
   return h;
 }
 
-/// Maximum characters of a tenant key carried into a metric label: names
-/// must stay short and printable whatever the caller uses as keys.
-constexpr size_t kMaxLabelChars = 24;
-
-/// Folds a tenant key into a metric-name-safe label: [A-Za-z0-9_] kept,
-/// everything else replaced by '_', truncated, never empty. Distinct keys
-/// may collide after sanitization — acceptable, because per-shard cells are
-/// a capped debugging aid, not the source of truth (the aggregate
-/// serve.fleet.* cells are).
-std::string SanitizeLabel(std::string_view key) {
-  std::string label;
-  label.reserve(std::min(key.size(), kMaxLabelChars));
-  for (const char c : key) {
-    if (label.size() >= kMaxLabelChars) break;
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_';
-    label.push_back(ok ? c : '_');
-  }
-  if (label.empty()) label = "t";
-  return label;
-}
-
 /// Clamps an oracle-reported domain total into something a root bucket can
 /// hold (drift or an injected fault can hand back NaN/negative).
 double ClampTotal(double total) {
@@ -192,11 +170,6 @@ struct ServiceFleet::Shard {
 
   /// The drift loop; null for tenants without re-init.
   std::unique_ptr<Reinit> reinit;
-
-  /// Label-capped per-shard cells ("serve.fleet_shard_<label>.*", shared
-  /// with every other over-cap shard when the label is "other").
-  obs::Counter label_reads;
-  obs::Counter label_applied;
 };
 
 ServiceFleet::ServiceFleet(const FleetConfig& config) : config_(config) {
@@ -298,17 +271,6 @@ Status ServiceFleet::AddTenant(std::string_view key,
     return StatusF(StatusCode::kInvalidArgument,
                    "tenant '%s' already exists", shard->key.c_str());
   }
-  // Per-shard cells, capped: the first kTopKShardLabels tenants ever added
-  // get their own label, everyone after shares "other" (DESIGN.md §13 — the
-  // name set must stay bounded however many tenants come and go).
-  const std::string label = labels_assigned_ < kTopKShardLabels
-                                ? SanitizeLabel(shard->key)
-                                : std::string("other");
-  if (labels_assigned_ < kTopKShardLabels) ++labels_assigned_;
-  shard->label_reads =
-      registry_->counter("serve.fleet_shard_" + label + ".reads");
-  shard->label_applied =
-      registry_->counter("serve.fleet_shard_" + label + ".applied");
   tenants_.Set(static_cast<double>(shards_.size()));
   tenants_added_.Inc();
   return Status::Ok();
@@ -366,20 +328,23 @@ std::shared_ptr<ServiceFleet::Shard> ServiceFleet::FindShard(
 
 StatusOr<double> ServiceFleet::Estimate(std::string_view key,
                                         const Box& query) const {
-  std::shared_ptr<Shard> shard = FindShard(key);
-  if (shard == nullptr) {
+  std::shared_ptr<const Histogram> snap = Snapshot(key);
+  if (snap == nullptr) {
     return StatusF(StatusCode::kNotFound, "unknown tenant '%.*s'",
                    static_cast<int>(key.size()), key.data());
   }
   reads_.Inc();
-  shard->label_reads.Inc();
-  return shard->snapshot.load()->Estimate(query);
+  return snap->Estimate(query);
 }
 
 std::shared_ptr<const Histogram> ServiceFleet::Snapshot(
     std::string_view key) const {
-  std::shared_ptr<Shard> shard = FindShard(key);
-  return shard == nullptr ? nullptr : shard->snapshot.load();
+  // The shard handle is not copied: the snapshot pointer is loaded while the
+  // shared lock keeps the shard in the map, so RemoveTenant cannot free it
+  // in between.
+  std::shared_lock<std::shared_mutex> lock(map_mutex_);
+  auto it = shards_.find(std::string(key));
+  return it == shards_.end() ? nullptr : it->second->snapshot.load();
 }
 
 StatusOr<FleetFeedbackOutcome> ServiceFleet::SubmitFeedback(
@@ -473,7 +438,6 @@ void ServiceFleet::RunShard(const std::shared_ptr<Shard>& shard) {
   if (n > 0) {
     shard->applied.fetch_add(n, std::memory_order_relaxed);
     applied_.Inc(n);
-    shard->label_applied.Inc(n);
     queue_depth_.Add(-static_cast<double>(n));
   }
   if (n > 0 || swapped) {

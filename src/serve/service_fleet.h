@@ -225,13 +225,6 @@ struct TenantStats {
 /// const-thread-safe and outlive its tenant.
 class ServiceFleet {
  public:
-  /// Cardinality cap for per-shard metric labels (DESIGN.md §13: the name
-  /// set must stay small and static). The first kTopKShardLabels tenants
-  /// ever added get their own `serve.fleet_shard_<label>.*` counters; every
-  /// later tenant aggregates into the shared `serve.fleet_shard_other.*`
-  /// cells, so the metric count is bounded no matter how many tenants live.
-  static constexpr size_t kTopKShardLabels = 8;
-
   /// Feedback applied while a re-init tenant's rebuild is in flight is also
   /// retained (up to this many items) and replayed onto the rebuilt
   /// histogram before it swaps in, so the swap does not forget the queries
@@ -280,14 +273,15 @@ class ServiceFleet {
   /// tenant's workload seed from it.
   uint64_t TenantId(std::string_view key) const;
 
-  /// Estimated cardinality of `query` against `key`'s current snapshot.
-  /// Lock-free with respect to refinement (the map lookup is a shared lock,
-  /// dropped before estimating); kNotFound for an unknown tenant.
+  /// Estimated cardinality of `query` against Snapshot(key); kNotFound for
+  /// an unknown tenant. Counted in serve.fleet.reads.
   StatusOr<double> Estimate(std::string_view key, const Box& query) const;
 
-  /// The shard's current snapshot, or nullptr for an unknown tenant.
-  /// Callers may hold it arbitrarily long, including across RemoveTenant;
-  /// a caller that needs several reads from one epoch holds one snapshot.
+  /// The shard's current snapshot, or nullptr for an unknown tenant: the
+  /// fleet's one read lookup. The map's shared lock covers only the find and
+  /// the snapshot-pointer load, never estimation or refinement. Callers may
+  /// hold the snapshot arbitrarily long, including across RemoveTenant; a
+  /// caller that needs several reads from one epoch holds one snapshot.
   std::shared_ptr<const Histogram> Snapshot(std::string_view key) const;
 
   /// Submits one executed query's box as refinement feedback for `key`;
@@ -352,6 +346,9 @@ class ServiceFleet {
   struct Reinit;
   struct Shard;
 
+  /// The shard handle, for the calls that need more than its snapshot
+  /// (SubmitFeedback, DrainTenant, tenant_stats, HasTenant); reads go
+  /// through Snapshot(key).
   std::shared_ptr<Shard> FindShard(std::string_view key) const;
 
   /// The claiming step: moves `shard` toward execution if no run is already
@@ -396,8 +393,7 @@ class ServiceFleet {
 
   mutable std::shared_mutex map_mutex_;
   std::unordered_map<std::string, std::shared_ptr<Shard>> shards_;
-  size_t labels_assigned_ = 0;  // Guarded by map_mutex_.
-  bool stopped_ = false;        // Guarded by map_mutex_.
+  bool stopped_ = false;  // Guarded by map_mutex_.
 
   // serve.fleet.* handles; stats() reads these same cells back.
   obs::Gauge tenants_;

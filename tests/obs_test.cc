@@ -18,6 +18,7 @@
 #include <cstdlib>
 #include <map>
 #include <new>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -385,7 +386,7 @@ TEST(MetricsDifferentialTest, InstrumentedEstimatesBitwiseIdentical) {
 
 // ---------------------------------------------------------------------------
 // ServiceFleet naming/cardinality: serve.fleet.* follows the §13 rules and
-// the per-shard label cap bounds the metric count however many tenants live.
+// the metric name set is the same however many tenants live.
 // ---------------------------------------------------------------------------
 
 TEST(FleetMetricsTest, NamesFollowLayerComponentNameScheme) {
@@ -435,7 +436,7 @@ TEST(FleetMetricsTest, NamesFollowLayerComponentNameScheme) {
   EXPECT_TRUE(saw_fleet);
 }
 
-TEST(FleetMetricsTest, MetricCountBoundedPastTheTopKLabelCap) {
+TEST(FleetMetricsTest, MetricNameSetDoesNotGrowWithTenants) {
   CrossConfig data_config;
   data_config.tuples_per_cluster = 200;
   data_config.noise_tuples = 40;
@@ -454,36 +455,31 @@ TEST(FleetMetricsTest, MetricCountBoundedPastTheTopKLabelCap) {
   config.metrics = &registry;
   ServiceFleet fleet(config);
 
-  auto shard_label_metrics = [&registry] {
-    size_t n = 0;
-    for (const auto& c : registry.Snapshot().counters) {
-      if (c.name.rfind("serve.fleet_shard_", 0) == 0) ++n;
-    }
-    return n;
+  auto metric_names = [&registry] {
+    MetricsSnapshot snapshot = registry.Snapshot();
+    std::set<std::string> names;
+    for (const auto& c : snapshot.counters) names.insert(c.name);
+    for (const auto& gauge : snapshot.gauges) names.insert(gauge.name);
+    for (const auto& l : snapshot.latencies) names.insert(l.name);
+    return names;
   };
 
-  for (int t = 0; t < 12; ++t) {
-    ASSERT_TRUE(
-        fleet.AddTenant("tenant_" + std::to_string(t), make_hist(), executor)
-            .ok());
-  }
-  // 12 tenants pass the cap: 8 labeled shards × 2 cells + the shared
-  // "other" pair.
-  const size_t capped = shard_label_metrics();
-  EXPECT_EQ(capped, 2u * (ServiceFleet::kTopKShardLabels + 1));
-  const size_t total_at_12 = registry.Snapshot().total_metrics();
+  ASSERT_TRUE(fleet.AddTenant("tenant_0", make_hist(), executor).ok());
+  const std::set<std::string> names_at_1 = metric_names();
+  const size_t total_at_1 = registry.Snapshot().total_metrics();
 
-  // Growing the fleet well past the cap must not add a single metric; churn
-  // (remove + re-add) must not either — a re-added tenant lands in "other".
-  for (int t = 12; t < 60; ++t) {
+  // No metric name carries a tenant key (§13), so growing the fleet to 60
+  // tenants must not add a single metric, and neither must churn (remove +
+  // re-add).
+  for (int t = 1; t < 60; ++t) {
     ASSERT_TRUE(
         fleet.AddTenant("tenant_" + std::to_string(t), make_hist(), executor)
             .ok());
   }
   ASSERT_TRUE(fleet.RemoveTenant("tenant_1").ok());
   ASSERT_TRUE(fleet.AddTenant("tenant_1", make_hist(), executor).ok());
-  EXPECT_EQ(shard_label_metrics(), capped);
-  EXPECT_EQ(registry.Snapshot().total_metrics(), total_at_12)
+  EXPECT_EQ(metric_names(), names_at_1);
+  EXPECT_EQ(registry.Snapshot().total_metrics(), total_at_1)
       << "metric cardinality must stay bounded as tenants grow";
   EXPECT_EQ(fleet.stats().tenants, fleet.TenantKeys().size());
 }

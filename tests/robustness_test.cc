@@ -13,6 +13,7 @@
 #include "data/generators.h"
 #include "eval/runner.h"
 #include "histogram/isomer.h"
+#include "histogram/kde.h"
 #include "histogram/robustness.h"
 #include "histogram/stgrid.h"
 #include "histogram/stholes.h"
@@ -255,6 +256,9 @@ std::vector<HistogramCase> MakeHistograms(const Box& domain, double tuples) {
   gc.cells_per_dim = 6;
   cases.push_back(
       {"stgrid", std::make_unique<STGridHistogram>(domain, tuples, gc)});
+  KdeConfig kc;
+  kc.sample_capacity = 60;
+  cases.push_back({"kde", std::make_unique<KdeHistogram>(domain, tuples, kc)});
   return cases;
 }
 
@@ -293,9 +297,17 @@ TEST(RobustnessSurvivalTest, HistogramsSurviveCorruptedFeedbackLoop) {
 
 TEST(RobustnessSurvivalTest, MalformedEstimateQueriesReturnZero) {
   GeneratedData g = SmallCross();
+  Executor executor(g.data);
+  WorkloadConfig wc;
+  wc.num_queries = 40;
+  const Workload clean = MakeWorkload(g.domain, wc);
   double tuples = static_cast<double>(g.data.size());
   for (HistogramCase& c : MakeHistograms(g.domain, tuples)) {
     SCOPED_TRACE(c.name);
+    // Trained first: an untrained estimator serves its uniform fallback,
+    // which can hide a wrong value for a malformed box.
+    for (const Box& q : clean) c.hist->Refine(q, executor);
+    ASSERT_EQ(c.hist->robustness().rejected_queries, 0u);
     size_t dim = g.domain.dim();
     EXPECT_DOUBLE_EQ(c.hist->Estimate(Box::Cube(dim + 1, 0.0, 1.0)), 0.0);
     std::vector<double> lo(dim, 0.5), hi(dim, 1.0);
@@ -304,7 +316,17 @@ TEST(RobustnessSurvivalTest, MalformedEstimateQueriesReturnZero) {
     lo[0] = 2.0;
     hi[0] = 1.0;  // Inverted.
     EXPECT_DOUBLE_EQ(c.hist->Estimate(RawBox(lo, hi)), 0.0);
-    EXPECT_EQ(c.hist->robustness().rejected_queries, 3u);
+    // The middle half of the domain, where the Cross arms meet, inverted in
+    // both dimensions: two negative per-dimension factors must not multiply
+    // back into the upright box's mass.
+    std::vector<double> mid_lo(dim), mid_hi(dim);
+    for (size_t d = 0; d < dim; ++d) {
+      mid_lo[d] = g.domain.lo(d) + 0.25 * g.domain.Extent(d);
+      mid_hi[d] = g.domain.hi(d) - 0.25 * g.domain.Extent(d);
+    }
+    ASSERT_GT(c.hist->Estimate(RawBox(mid_lo, mid_hi)), 0.0);
+    EXPECT_DOUBLE_EQ(c.hist->Estimate(RawBox(mid_hi, mid_lo)), 0.0);
+    EXPECT_EQ(c.hist->robustness().rejected_queries, 4u);
   }
 }
 
