@@ -15,22 +15,6 @@ void Dataset::Append(std::span<const double> p) {
   values_.insert(values_.end(), p.begin(), p.end());
 }
 
-Status Dataset::AppendChecked(std::span<const double> p) {
-  if (p.size() != dim_) {
-    return StatusF(StatusCode::kInvalidArgument,
-                   "tuple has %zu attributes, dataset has %zu", p.size(),
-                   dim_);
-  }
-  for (size_t d = 0; d < p.size(); ++d) {
-    if (!std::isfinite(p[d])) {
-      return StatusF(StatusCode::kInvalidArgument,
-                     "attribute %zu is non-finite", d);
-    }
-  }
-  Append(p);
-  return Status::Ok();
-}
-
 Status Dataset::Validate() const {
   for (size_t i = 0; i < size(); ++i) {
     std::span<const double> p = row(i);

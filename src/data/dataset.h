@@ -38,10 +38,6 @@ class Dataset {
   /// Appends one tuple. Requires p.size() == dim().
   void Append(std::span<const double> p);
 
-  /// Appends one tuple from untrusted input: rejects wrong arity and
-  /// non-finite values with a reason instead of aborting.
-  Status AppendChecked(std::span<const double> p);
-
   /// Scans for non-finite values — the one corruption every downstream
   /// consumer (bounds, k-d tree, clustering) silently mis-handles. Returns
   /// INVALID_ARGUMENT naming the first offending tuple and attribute.

@@ -150,10 +150,9 @@ class KdeHistogram : public Histogram {
   size_t sample_size() const { return sample_.size(); }
   size_t feedbacks_seen() const { return feedbacks_; }
 
-  /// Current per-dimension bandwidths (adapted) and the Scott's-rule
-  /// reference they are anchored to. Exposed for tests and inspection.
+  /// Current per-dimension bandwidths (adapted). Exposed for tests and
+  /// inspection.
   const std::vector<double>& bandwidths() const { return bandwidth_; }
-  const std::vector<double>& scott_reference() const { return scott_; }
 
  private:
   struct Metrics {

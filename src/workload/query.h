@@ -18,9 +18,6 @@ class Executor : public CardinalityOracle {
   /// Exact number of tuples in `box`.
   double Count(const Box& box) const override;
 
-  /// Alias of Count, named for call sites that read as query execution.
-  double Execute(const Box& query) const { return Count(query); }
-
   const KdTree& index() const { return index_; }
 
  private:

@@ -53,61 +53,6 @@ Workload Permuted(const Workload& workload, uint64_t seed) {
   return out;
 }
 
-Status ValidateQueryBox(const Box& domain, const Box& query) {
-  if (query.dim() != domain.dim()) {
-    return StatusF(StatusCode::kInvalidArgument,
-                   "query has %zu dimensions, domain has %zu", query.dim(),
-                   domain.dim());
-  }
-  for (size_t d = 0; d < query.dim(); ++d) {
-    if (!std::isfinite(query.lo(d)) || !std::isfinite(query.hi(d))) {
-      return StatusF(StatusCode::kInvalidArgument,
-                     "query bound in dimension %zu is non-finite", d);
-    }
-    if (query.lo(d) > query.hi(d)) {
-      return StatusF(StatusCode::kInvalidArgument,
-                     "query interval in dimension %zu is inverted: [%g,%g]", d,
-                     query.lo(d), query.hi(d));
-    }
-    if (query.lo(d) == query.hi(d)) {
-      return StatusF(StatusCode::kInvalidArgument,
-                     "query has zero extent in dimension %zu", d);
-    }
-  }
-  if (domain.IntersectionVolume(query) <= 0.0) {
-    return Status::InvalidArgument("query " + query.ToString() +
-                                   " lies outside the domain " +
-                                   domain.ToString());
-  }
-  return Status::Ok();
-}
-
-StatusOr<Box> SanitizeQueryBox(const Box& domain, const Box& query) {
-  if (query.dim() != domain.dim()) {
-    return StatusF(StatusCode::kInvalidArgument,
-                   "query has %zu dimensions, domain has %zu", query.dim(),
-                   domain.dim());
-  }
-  std::vector<double> lo(query.dim()), hi(query.dim());
-  for (size_t d = 0; d < query.dim(); ++d) {
-    if (!std::isfinite(query.lo(d)) || !std::isfinite(query.hi(d))) {
-      return StatusF(StatusCode::kInvalidArgument,
-                     "query bound in dimension %zu is non-finite", d);
-    }
-    lo[d] = std::min(query.lo(d), query.hi(d));
-    hi[d] = std::max(query.lo(d), query.hi(d));
-    lo[d] = std::clamp(lo[d], domain.lo(d), domain.hi(d));
-    hi[d] = std::clamp(hi[d], domain.lo(d), domain.hi(d));
-  }
-  Box repaired(std::move(lo), std::move(hi));
-  if (repaired.Volume() <= 0.0) {
-    return Status::InvalidArgument(
-        "query " + query.ToString() +
-        " has zero volume inside the domain after repair");
-  }
-  return repaired;
-}
-
 StatusOr<Workload> MakeWorkloadChecked(const Box& domain,
                                        const WorkloadConfig& config,
                                        const Dataset* data) {

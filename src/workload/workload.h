@@ -43,19 +43,6 @@ Workload MakeWorkload(const Box& domain, const WorkloadConfig& config,
 /// π(W) of Definition 1 used by the sensitivity experiments.
 Workload Permuted(const Workload& workload, uint64_t seed);
 
-/// Validates one range query arriving from an untrusted source against the
-/// data domain. Rejects (with a reason) dimension mismatches, non-finite
-/// bounds, inverted intervals (lo > hi, constructible via the Box mutators),
-/// zero-volume boxes, and queries entirely outside the domain. Boxes that
-/// pass are safe for every histogram's Estimate/Refine.
-Status ValidateQueryBox(const Box& domain, const Box& query);
-
-/// Repairing variant of ValidateQueryBox: swaps inverted bounds and clamps
-/// the box into the domain, returning the sanitized query. Still rejects
-/// what cannot be repaired — non-finite bounds, dimension mismatches, and
-/// boxes whose domain intersection has zero volume.
-StatusOr<Box> SanitizeQueryBox(const Box& domain, const Box& query);
-
 /// Checked wrapper over MakeWorkload for configurations from untrusted
 /// sources: validates the domain, volume fraction, and center distribution
 /// requirements, returning a reason instead of tripping internal CHECKs.
