@@ -73,8 +73,6 @@ BenchOptions ExtractBenchOptions(int* argc, char** argv) {
       options.threads = static_cast<size_t>(value);
     } else if (std::strcmp(arg, "--seed") == 0 && has_value) {
       options.seed = ParseCount(arg, argv[++read]);
-    } else if (std::strcmp(arg, "--out") == 0 && has_value) {
-      options.out = argv[++read];
     } else if (std::strcmp(arg, "--metrics-json") == 0 && has_value) {
       options.metrics_json = argv[++read];
     } else {
@@ -90,8 +88,7 @@ BenchOptions ParseBenchOptions(int argc, char** argv) {
   if (argc > 1) {
     std::fprintf(stderr,
                  "unknown argument: %s\n"
-                 "usage: %s [--threads N] [--seed N] [--out PATH] "
-                 "[--metrics-json PATH]\n"
+                 "usage: %s [--threads N] [--seed N] [--metrics-json PATH]\n"
                  "(STHIST_FULL=1 in the environment selects paper scale)\n",
                  argv[1], argv[0]);
     std::exit(2);

@@ -1,6 +1,7 @@
 #ifndef STHIST_BENCH_BENCH_COMMON_H_
 #define STHIST_BENCH_BENCH_COMMON_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -13,17 +14,17 @@
 namespace sthist::bench {
 
 /// Approximate p99 from the fixed log-scale latency buckets: the upper bound
-/// of the bucket holding the 99th-percentile observation (max for overflow).
+/// of the bucket holding the 99th-percentile observation, but never more
+/// than the largest observation (also the answer for the overflow bucket).
 inline double ApproxP99Seconds(
     const obs::MetricsSnapshot::LatencyValue& latency) {
   if (latency.count == 0) return 0.0;
   const uint64_t target = (latency.count * 99 + 99) / 100;
   uint64_t cumulative = 0;
-  for (size_t b = 0; b < obs::kLatencyBuckets; ++b) {
+  for (size_t b = 0; b < obs::kLatencyBounds.size(); ++b) {
     cumulative += latency.buckets[b];
     if (cumulative >= target) {
-      return b < obs::kLatencyBounds.size() ? obs::kLatencyBounds[b]
-                                            : latency.max_seconds;
+      return std::min(obs::kLatencyBounds[b], latency.max_seconds);
     }
   }
   return latency.max_seconds;
@@ -37,19 +38,17 @@ struct BenchOptions {
   /// Offset applied to the harness's workload seeds (0 = harness default),
   /// for cheap run-to-run variation without editing the source.
   uint64_t seed = 0;
-  /// Harness-specific primary output file ("" = stdout only).
-  std::string out;
   /// Where to write the BENCH_*.json artifact ("" = don't).
   std::string metrics_json;
 };
 
-/// Parses the shared flags (--threads N, --seed N, --out PATH,
-/// --metrics-json PATH) out of argv, removing each one (and its value) in
-/// place and decrementing *argc; anything unrecognized is left for the
-/// caller — google-benchmark mains pass the remainder to
-/// benchmark::Initialize. Also installs the process-wide metrics registry
-/// (obs::GlobalMetrics()), so every instrumented component constructed
-/// afterwards records into the artifact.
+/// Parses the shared flags (--threads N, --seed N, --metrics-json PATH)
+/// out of argv, removing each one (and its value) in place and
+/// decrementing *argc; anything unrecognized is left for the caller —
+/// google-benchmark mains pass the remainder to benchmark::Initialize. Also
+/// installs the process-wide metrics registry (obs::GlobalMetrics()), so
+/// every instrumented component constructed afterwards records into the
+/// artifact.
 BenchOptions ExtractBenchOptions(int* argc, char** argv);
 
 /// Strict variant for plain harnesses: anything left over after extraction

@@ -10,6 +10,10 @@ namespace sthist {
 
 namespace {
 
+/// Cap on dense units kept per subspace dimensionality level (safety
+/// valve against degenerate settings).
+constexpr size_t kMaxUnitsPerLevel = 200000;
+
 // Cell coordinates of one unit within a fixed subspace.
 using CellKey = std::vector<uint32_t>;
 
@@ -187,7 +191,7 @@ std::vector<SubspaceCluster> CliqueClusterer::Cluster(
     for (const std::vector<size_t>& dims : candidates) {
       SubspaceLevel level = count_subspace(dims);
       if (level.dense_units.empty()) continue;
-      if (level.dense_units.size() > config_.max_units_per_level) continue;
+      if (level.dense_units.size() > kMaxUnitsPerLevel) continue;
       next.push_back(std::move(level));
     }
     levels.push_back(std::move(next));

@@ -23,10 +23,6 @@ struct CliqueConfig {
   /// grows combinatorially; real deployments prune it).
   size_t max_dims = 4;
 
-  /// Cap on dense units kept per subspace dimensionality level (safety
-  /// valve against degenerate settings).
-  size_t max_units_per_level = 200000;
-
   /// Cap on clusters returned (highest coverage first).
   size_t max_clusters = 64;
 };

@@ -7,6 +7,18 @@
 #include "core/rng.h"
 
 namespace sthist {
+namespace {
+
+/// Random (medoid, discriminating-set) trials per greedy round. A trial
+/// only succeeds when the whole discriminating set happens to come from
+/// the medoid's cluster (probability ~ cluster_fraction^|X|), so the trial
+/// count must be large relative to (1/alpha)^|X|.
+constexpr size_t kTrialsPerRound = 256;
+
+/// Stop after this many rounds in a row without a qualifying cluster.
+constexpr size_t kMaxFailedRounds = 4;
+
+}  // namespace
 
 Status Validate(const DocConfig& config) {
   // DOC's window settings mean what MineClus's do, over the same ranges.
@@ -47,13 +59,13 @@ std::vector<SubspaceCluster> DocClusterer::Cluster(const Dataset& data,
 
   while (clusters.size() < config_.max_clusters &&
          static_cast<double>(remaining.size()) >= min_size &&
-         failed_rounds < config_.max_failed_rounds) {
+         failed_rounds < kMaxFailedRounds) {
     double best_score = -1.0;
     size_t best_medoid = 0;
     std::vector<size_t> best_dims;
     std::vector<size_t> best_members;
 
-    for (size_t trial = 0; trial < config_.trials_per_round; ++trial) {
+    for (size_t trial = 0; trial < kTrialsPerRound; ++trial) {
       size_t medoid = remaining[rng.Index(remaining.size())];
       std::span<const double> m = data.row(medoid);
 

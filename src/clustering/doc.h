@@ -18,19 +18,10 @@ struct DocConfig {
   /// Window half-width per dimension, as a fraction of the domain extent.
   double width_fraction = 0.05;
 
-  /// Random (medoid, discriminating-set) trials per greedy round. A trial
-  /// only succeeds when the whole discriminating set happens to come from
-  /// the medoid's cluster (probability ~ cluster_fraction^|X|), so the trial
-  /// count must be large relative to (1/alpha)^|X|.
-  size_t trials_per_round = 256;
-
   /// Size of the discriminating set X drawn per trial. Small sets keep the
   /// success probability workable on datasets with many modest clusters;
   /// the min-size filter rejects the occasional spurious agreement.
   size_t discriminating_set_size = 2;
-
-  /// Stop after this many rounds in a row without a qualifying cluster.
-  size_t max_failed_rounds = 4;
 
   /// Cap on clusters returned.
   size_t max_clusters = 64;

@@ -12,6 +12,12 @@ namespace sthist {
 
 namespace {
 
+/// Medoid samples evaluated per greedy round.
+constexpr size_t kMedoidsPerRound = 8;
+
+/// Stop after this many consecutive rounds without a qualifying cluster.
+constexpr size_t kMaxFailedRounds = 4;
+
 // A candidate cluster produced by one medoid evaluation.
 struct Candidate {
   size_t medoid = 0;
@@ -118,11 +124,11 @@ std::vector<SubspaceCluster> RunMineClus(const Dataset& data,
 
   while (clusters.size() < config.max_clusters &&
          static_cast<double>(remaining.size()) >= min_support &&
-         failed_rounds < config.max_failed_rounds) {
+         failed_rounds < kMaxFailedRounds) {
     rounds_metric.Inc();
     // Evaluate a sample of medoids; keep the best-quality dimension set.
     Candidate best;
-    size_t samples = std::min(config.medoids_per_round, remaining.size());
+    size_t samples = std::min(kMedoidsPerRound, remaining.size());
     std::vector<size_t> medoid_picks = rng.Sample(remaining.size(), samples);
 
     std::vector<WeightedTransaction> transactions;

@@ -31,12 +31,6 @@ struct MineClusConfig {
   /// Hard cap on the number of clusters returned.
   size_t max_clusters = 64;
 
-  /// Medoid samples evaluated per greedy round.
-  size_t medoids_per_round = 8;
-
-  /// Stop after this many consecutive rounds without a qualifying cluster.
-  size_t max_failed_rounds = 4;
-
   /// Minimum number of relevant dimensions per cluster.
   size_t min_cluster_dims = 1;
 
@@ -45,6 +39,10 @@ struct MineClusConfig {
   bool merge_similar = true;
 
   uint64_t seed = 11;
+
+  /// Compares every field, so Experiment's cluster cache, which keys on it,
+  /// never serves one config's clusters for another.
+  bool operator==(const MineClusConfig&) const = default;
 };
 
 /// Range checks on the settings above (alpha and beta in (0, 1], a positive

@@ -33,24 +33,13 @@ constexpr uint64_t kSimStream = 1;
 Experiment::Experiment(GeneratedData generated)
     : generated_(std::move(generated)), executor_(generated_.data) {}
 
-bool Experiment::SameMineClusConfig(const MineClusConfig& a,
-                                    const MineClusConfig& b) {
-  return a.alpha == b.alpha && a.beta == b.beta &&
-         a.width_fraction == b.width_fraction &&
-         a.max_clusters == b.max_clusters &&
-         a.medoids_per_round == b.medoids_per_round &&
-         a.max_failed_rounds == b.max_failed_rounds &&
-         a.min_cluster_dims == b.min_cluster_dims &&
-         a.merge_similar == b.merge_similar && a.seed == b.seed;
-}
-
 const Experiment::ClusterCacheEntry& Experiment::ClusterEntry(
     const MineClusConfig& config) {
   ClusterCacheEntry* entry = nullptr;
   {
     std::lock_guard<std::mutex> lock(cluster_cache_mutex_);
     for (ClusterCacheEntry& candidate : cluster_cache_) {
-      if (SameMineClusConfig(candidate.config, config)) {
+      if (candidate.config == config) {
         entry = &candidate;
         break;
       }

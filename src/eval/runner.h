@@ -134,9 +134,6 @@ class Experiment {
     double seconds = 0.0;
   };
 
-  static bool SameMineClusConfig(const MineClusConfig& a,
-                                 const MineClusConfig& b);
-
   /// Finds or creates the cache entry for `config` and ensures its
   /// clustering has run (blocking on a concurrent run if one is in flight).
   const ClusterCacheEntry& ClusterEntry(const MineClusConfig& config);

@@ -112,6 +112,13 @@ void IsomerHistogram::DrillHole(Bucket* b, const Box& candidate,
 
 namespace {
 
+/// Iterative-scaling rounds per refinement.
+constexpr size_t kScalingRounds = 40;
+
+/// Stop scaling early when every retained constraint is satisfied within
+/// this relative error.
+constexpr double kScalingTolerance = 1e-3;
+
 // Recursively appends the plan node for `b` (already known to intersect the
 // probed box; `region` is its region volume as `index` holds it) and its
 // intersecting descendants in pre-order; returns the subtree size. `groups`
@@ -243,9 +250,9 @@ double IsomerHistogram::ScaleOnce() {
 
 void IsomerHistogram::Solve() {
   obs::ScopedTimer solve_timer(metrics_.solve_seconds);
-  for (size_t round = 0; round < config_.scaling_rounds; ++round) {
+  for (size_t round = 0; round < kScalingRounds; ++round) {
     double worst = ScaleOnce();
-    if (worst <= config_.tolerance) break;
+    if (worst <= kScalingTolerance) break;
   }
 
   // Inconsistency handling: drop retained constraints (never the permanent
@@ -257,7 +264,7 @@ void IsomerHistogram::Solve() {
     double est = PlanEstimate(constraints_[i]);
     double violation = std::abs(est - constraints_[i].count) /
                        std::max(constraints_[i].count, 1.0);
-    if (violation > config_.inconsistency_threshold) {
+    if (violation > kInconsistencyThreshold) {
       constraints_.erase(constraints_.begin() + static_cast<ptrdiff_t>(i));
     }
   }

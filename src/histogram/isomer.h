@@ -24,19 +24,6 @@ struct IsomerConfig {
   /// constraints age out, which is how ISOMER follows changing data.
   size_t max_constraints = 128;
 
-  /// Iterative-scaling rounds per refinement.
-  size_t scaling_rounds = 40;
-
-  /// Stop scaling early when every retained constraint is satisfied within
-  /// this relative error.
-  double tolerance = 1e-3;
-
-  /// After solving, constraints still violated by more than this relative
-  /// error are discarded (ISOMER's inconsistency handling: under a tight
-  /// bucket budget, merges can make old constraints unrepresentable, and
-  /// keeping them makes the scaling fight itself).
-  double inconsistency_threshold = 0.5;
-
   /// Registry receiving the histogram.isomer.* / index.bucket_tree.* metrics
   /// (DESIGN.md §13); nullptr means the process-wide GlobalMetrics().
   obs::MetricsRegistry* metrics = nullptr;
@@ -99,6 +86,12 @@ class IsomerHistogram : public Histogram {
   /// Worst relative violation of the retained constraints (0 = perfectly
   /// consistent).
   double MaxConstraintViolation() const;
+
+  /// After solving, constraints still violated by more than this relative
+  /// error are discarded (ISOMER's inconsistency handling: under a tight
+  /// bucket budget, merges can make old constraints unrepresentable, and
+  /// keeping them makes the scaling fight itself).
+  static constexpr double kInconsistencyThreshold = 0.5;
 
   /// Structural invariants (nesting, disjoint siblings, non-negative
   /// frequencies); aborts on violation.

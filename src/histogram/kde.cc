@@ -17,6 +17,19 @@ namespace {
 constexpr double kInvSqrt2 = 0.70710678118654752440;
 constexpr double kInvSqrtPi = 0.56418958354775628695;
 
+/// Per-feedback multiplicative step on a bandwidth: h *= exp(±step) with
+/// step = kLearnRate * min(|relative error|, 1), in the direction that
+/// shrinks the error (sign of the analytic gradient — see Refine). Capped
+/// at kMaxLogStep per feedback.
+constexpr double kLearnRate = 0.05;
+constexpr double kMaxLogStep = 0.25;
+
+/// Adapted bandwidths are clamped to [min, max] × the Scott's-rule
+/// reference, so feedback can never collapse a kernel to a delta or smear
+/// it across the domain.
+constexpr double kMinBandwidthFactor = 0.05;
+constexpr double kMaxBandwidthFactor = 20.0;
+
 /// Kernel mass of a standard-normal kernel centered at `x` inside [lo, hi]:
 /// Φ((hi−x)/h) − Φ((lo−x)/h) with Φ(z) = (1 + erf(z/√2))/2, folded so the
 /// √2 lives in inv_h = 1/(h·√2). Shared by Estimate, EstimateAndGrad and
@@ -79,25 +92,6 @@ Status Validate(const KdeConfig& config) {
     return StatusF(StatusCode::kInvalidArgument,
                    "kde tuples_per_point must be positive, got %g",
                    config.tuples_per_point);
-  }
-  if (!std::isfinite(config.learn_rate) || config.learn_rate < 0.0) {
-    return StatusF(StatusCode::kInvalidArgument,
-                   "kde learn_rate must be non-negative, got %g",
-                   config.learn_rate);
-  }
-  if (!std::isfinite(config.max_log_step) || config.max_log_step <= 0.0) {
-    return StatusF(StatusCode::kInvalidArgument,
-                   "kde max_log_step must be positive, got %g",
-                   config.max_log_step);
-  }
-  if (!std::isfinite(config.min_bandwidth_factor) ||
-      config.min_bandwidth_factor <= 0.0 ||
-      !std::isfinite(config.max_bandwidth_factor) ||
-      config.max_bandwidth_factor < config.min_bandwidth_factor) {
-    return StatusF(StatusCode::kInvalidArgument,
-                   "kde bandwidth factors must satisfy 0 < min <= max, "
-                   "got [%g, %g]",
-                   config.min_bandwidth_factor, config.max_bandwidth_factor);
   }
   return Status::Ok();
 }
@@ -312,16 +306,15 @@ void KdeHistogram::Refine(const Box& query, const CardinalityOracle& oracle) {
   // to the wild magnitude swings of the raw gradient, deterministic, and
   // multiplicative so bandwidths stay positive.
   const size_t m_before = sample_.size();
-  if (config_.adapt_bandwidth && config_.learn_rate > 0.0 && m_before > 0) {
+  if (config_.adapt_bandwidth && m_before > 0) {
     std::vector<double> grad(dim_, 0.0);
     const double est = EstimateAndGrad(box, &grad);
     const double rel = (est - actual) / (1.0 + actual);
     if (rel != 0.0 && std::isfinite(rel)) {
       const double step =
-          std::min(config_.learn_rate * std::min(std::abs(rel), 1.0),
-                   config_.max_log_step);
-      const double lo_log = std::log(config_.min_bandwidth_factor);
-      const double hi_log = std::log(config_.max_bandwidth_factor);
+          std::min(kLearnRate * std::min(std::abs(rel), 1.0), kMaxLogStep);
+      const double lo_log = std::log(kMinBandwidthFactor);
+      const double hi_log = std::log(kMaxBandwidthFactor);
       bool moved = false;
       for (size_t d = 0; d < dim_; ++d) {
         const double direction = rel * grad[d];

@@ -34,23 +34,11 @@ struct KdeConfig {
   /// stream length is halved (0 disables ageing).
   size_t age_interval = 4096;
 
-  /// Online per-dimension bandwidth adaptation from feedback error. When
-  /// false the bandwidths stay at Scott's rule (still tracking sample growth)
-  /// — the fixed-bandwidth baseline tests/kde_test.cc compares against.
+  /// Online per-dimension bandwidth adaptation from feedback error (step
+  /// sizes and clamps are constants in kde.cc). When false the bandwidths
+  /// stay at Scott's rule (still tracking sample growth) — the
+  /// fixed-bandwidth baseline tests/kde_test.cc compares against.
   bool adapt_bandwidth = true;
-
-  /// Per-feedback multiplicative step on a bandwidth: h *= exp(±step) with
-  /// step = learn_rate * min(|relative error|, 1), in the direction that
-  /// shrinks the error (sign of the analytic gradient — see kde.cc). Capped
-  /// at max_log_step per feedback.
-  double learn_rate = 0.05;
-  double max_log_step = 0.25;
-
-  /// Adapted bandwidths are clamped to [min, max] × the Scott's-rule
-  /// reference, so feedback can never collapse a kernel to a delta or smear
-  /// it across the domain.
-  double min_bandwidth_factor = 0.05;
-  double max_bandwidth_factor = 20.0;
 
   uint64_t seed = 4242;
 
@@ -137,7 +125,7 @@ class KdeHistogram : public Histogram {
   static constexpr uint32_t kBinaryFormatVersion = 1;
 
   /// Reconstructs an estimator from SerializeBinary output. `config`
-  /// supplies the tuning knobs (adaptation rate, ageing); the sample and
+  /// supplies the tuning knobs (adaptation, ageing); the sample and
   /// all replay-relevant state come from the snapshot. The restored
   /// capacity is max(config.sample_capacity, snapshot sample size) —
   /// decoding never drops points. Fails closed on any framing, bounds, or

@@ -6,14 +6,19 @@
 #include "core/check.h"
 
 namespace sthist {
+namespace {
 
-void MHistHistogram::ScoreBucket(const Dataset& data,
-                                 BuildBucket* bucket) const {
+/// Resolution of the per-dimension marginal used to locate the MaxDiff
+/// split point inside a bucket.
+constexpr size_t kMarginalBins = 64;
+
+}  // namespace
+
+void MHistHistogram::ScoreBucket(const Dataset& data, BuildBucket* bucket) {
   bucket->max_diff = -1.0;
   if (bucket->rows.size() < 2) return;
 
-  const size_t bins = config_.marginal_bins;
-  std::vector<double> marginal(bins);
+  std::vector<double> marginal(kMarginalBins);
   for (size_t d = 0; d < data.dim(); ++d) {
     double lo = bucket->box.lo(d);
     double extent = bucket->box.Extent(d);
@@ -22,16 +27,16 @@ void MHistHistogram::ScoreBucket(const Dataset& data,
     std::fill(marginal.begin(), marginal.end(), 0.0);
     for (size_t row : bucket->rows) {
       double frac = (data.value(row, d) - lo) / extent;
-      auto bin = static_cast<size_t>(frac * static_cast<double>(bins));
-      marginal[std::min(bin, bins - 1)] += 1.0;
+      auto bin = static_cast<size_t>(frac * static_cast<double>(kMarginalBins));
+      marginal[std::min(bin, kMarginalBins - 1)] += 1.0;
     }
 
-    for (size_t b = 0; b + 1 < bins; ++b) {
+    for (size_t b = 0; b + 1 < kMarginalBins; ++b) {
       double diff = std::abs(marginal[b] - marginal[b + 1]);
       if (diff > bucket->max_diff) {
         // Split between bin b and b+1.
         double at = lo + extent * static_cast<double>(b + 1) /
-                             static_cast<double>(bins);
+                             static_cast<double>(kMarginalBins);
         // A split at the bucket border would not partition anything.
         if (at <= bucket->box.lo(d) || at >= bucket->box.hi(d)) continue;
         bucket->max_diff = diff;
@@ -43,10 +48,8 @@ void MHistHistogram::ScoreBucket(const Dataset& data,
 }
 
 MHistHistogram::MHistHistogram(const Dataset& data, const Box& domain,
-                               const MHistConfig& config)
-    : config_(config) {
+                               const MHistConfig& config) {
   STHIST_CHECK(config.max_buckets >= 1);
-  STHIST_CHECK(config.marginal_bins >= 2);
   STHIST_CHECK(data.dim() == domain.dim());
 
   std::vector<BuildBucket> building;

@@ -13,10 +13,6 @@ namespace sthist {
 struct MHistConfig {
   /// Number of buckets to build.
   size_t max_buckets = 100;
-
-  /// Resolution of the per-dimension marginal used to locate the MaxDiff
-  /// split point inside a bucket.
-  size_t marginal_bins = 64;
 };
 
 /// MHIST-2: the static multidimensional MaxDiff histogram
@@ -68,9 +64,8 @@ class MHistHistogram : public Histogram {
   };
 
   // Computes the bucket's MaxDiff split candidate over all dimensions.
-  void ScoreBucket(const Dataset& data, BuildBucket* bucket) const;
+  static void ScoreBucket(const Dataset& data, BuildBucket* bucket);
 
-  MHistConfig config_;
   std::vector<BucketInfo> buckets_;
   /// Spatial index over buckets_ (entry id = bucket position). Built once at
   /// construction; the histogram is static, so it never goes stale.

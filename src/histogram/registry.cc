@@ -7,7 +7,12 @@
 #include "core/rng.h"
 #include "histogram/avi.h"
 #include "histogram/equiwidth.h"
+#include "histogram/isomer.h"
+#include "histogram/kde.h"
+#include "histogram/mhist.h"
 #include "histogram/sampling.h"
+#include "histogram/stgrid.h"
+#include "histogram/stholes.h"
 #include "histogram/trivial.h"
 
 namespace sthist {
@@ -99,39 +104,37 @@ StatusOr<std::unique_ptr<Histogram>> MakeHistogram(
       return Status::InvalidArgument(
           "estimator 'mhist' needs a positive bucket budget");
     }
-    MHistConfig mhist = config.mhist;
+    MHistConfig mhist;
     mhist.max_buckets = config.buckets;
     return std::unique_ptr<Histogram>(
         new MHistHistogram(*config.data, config.domain, mhist));
   }
   if (name == "stgrid") {
     STHIST_RETURN_IF_ERROR(RequireDomain(config));
-    STGridConfig stgrid = config.stgrid;
+    STGridConfig stgrid;
     stgrid.cells_per_dim = DerivedCellsPerDim(config);
     return std::unique_ptr<Histogram>(
         new STGridHistogram(config.domain, config.total_tuples, stgrid));
   }
   if (name == "isomer") {
     STHIST_RETURN_IF_ERROR(RequireDomain(config));
-    IsomerConfig isomer = config.isomer;
+    IsomerConfig isomer;
     isomer.max_buckets = config.buckets;
     return std::unique_ptr<Histogram>(
         new IsomerHistogram(config.domain, config.total_tuples, isomer));
   }
   if (name == "stholes") {
     STHIST_RETURN_IF_ERROR(RequireDomain(config));
-    STHolesConfig stholes = config.stholes;
+    STHolesConfig stholes;
     stholes.max_buckets = config.buckets;
-    if (config.metrics != nullptr) stholes.metrics = config.metrics;
     return std::unique_ptr<Histogram>(
         new STHoles(config.domain, config.total_tuples, stholes));
   }
   if (name == "kde") {
     STHIST_RETURN_IF_ERROR(RequireDomain(config));
-    KdeConfig kde = config.kde;
+    KdeConfig kde;
     kde.sample_capacity = config.buckets;
     kde.seed = DeriveSeed(config.seed, kKdeSeedRole);
-    if (config.metrics != nullptr) kde.metrics = config.metrics;
     STHIST_RETURN_IF_ERROR(Validate(kde));
     return std::unique_ptr<Histogram>(
         new KdeHistogram(config.domain, config.total_tuples, kde));
@@ -159,19 +162,16 @@ StatusOr<std::unique_ptr<Histogram>> RestoreHistogram(
     std::string_view blob, const HistogramConfig& config) {
   const std::string_view name = EstimatorNameForBlob(blob);
   if (name == "stholes") {
-    STHolesConfig stholes = config.stholes;
+    STHolesConfig stholes;
     stholes.max_buckets = config.buckets;
-    if (config.metrics != nullptr) stholes.metrics = config.metrics;
     auto restored = STHoles::DeserializeBinary(blob, stholes);
     if (!restored.ok()) return restored.status();
     return std::unique_ptr<Histogram>(std::move(restored.value()));
   }
   if (name == "kde") {
-    KdeConfig kde = config.kde;
-    kde.sample_capacity = config.buckets == 0 ? kde.sample_capacity
-                                              : config.buckets;
+    KdeConfig kde;
+    if (config.buckets != 0) kde.sample_capacity = config.buckets;
     kde.seed = DeriveSeed(config.seed, kKdeSeedRole);
-    if (config.metrics != nullptr) kde.metrics = config.metrics;
     auto restored = KdeHistogram::DeserializeBinary(blob, kde);
     if (!restored.ok()) return restored.status();
     return std::unique_ptr<Histogram>(std::move(restored.value()));

@@ -11,12 +11,6 @@
 #include "core/status.h"
 #include "data/dataset.h"
 #include "histogram/histogram.h"
-#include "histogram/isomer.h"
-#include "histogram/kde.h"
-#include "histogram/mhist.h"
-#include "histogram/stgrid.h"
-#include "histogram/stholes.h"
-#include "obs/metrics.h"
 
 namespace sthist {
 
@@ -28,9 +22,9 @@ namespace sthist {
 /// new estimator registered here joins every harness automatically.
 
 /// One construction config covering every registered estimator family.
-/// The generic knobs (buckets, seed, metrics) are applied onto the family
-/// configs at construction; the per-family sub-configs carry the knobs that
-/// have no generic analogue.
+/// Each family starts from its own config's defaults, and the generic knobs
+/// below (buckets, seed, the per-dim resolutions) are applied onto it at
+/// construction. Metrics go to the process-wide GlobalMetrics().
 struct HistogramConfig {
   /// The data domain (root box) — required by every family.
   Box domain;
@@ -52,25 +46,12 @@ struct HistogramConfig {
   /// role, so one experiment seed never aliases streams across estimators.
   uint64_t seed = 5;
 
-  /// Registry receiving the estimator's metrics; nullptr means
-  /// GlobalMetrics(). Applied to the families that are instrumented.
-  obs::MetricsRegistry* metrics = nullptr;
-
   /// Per-dimension grid resolution for equiwidth and stgrid; 0 derives
   /// round(buckets^(1/dim)) (floored at 2).
   size_t cells_per_dim = 0;
 
   /// Per-dimension bucket count for avi; 0 derives max(1, buckets / dim).
   size_t buckets_per_dim = 0;
-
-  /// Family-specific knobs. The generic fields above override the
-  /// corresponding members (max_buckets, sample_capacity, seed, metrics) at
-  /// construction.
-  STHolesConfig stholes;
-  IsomerConfig isomer;
-  STGridConfig stgrid;
-  MHistConfig mhist;
-  KdeConfig kde;
 };
 
 /// Names accepted by MakeHistogram, in canonical (stable) order.
@@ -90,7 +71,7 @@ std::string_view EstimatorNameForBlob(std::string_view blob);
 
 /// Reconstructs a histogram from a SerializeBinary blob, dispatching on the
 /// blob's magic to the owning implementation's DeserializeBinary. `config`
-/// supplies the tuning knobs exactly as it does for MakeHistogram; all
+/// supplies the budget and seed exactly as it does for MakeHistogram; all
 /// replayed state comes from the blob. Fails closed on unrecognized magics
 /// and on any framing violation.
 StatusOr<std::unique_ptr<Histogram>> RestoreHistogram(

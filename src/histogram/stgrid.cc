@@ -7,13 +7,22 @@
 #include "histogram/robustness.h"
 
 namespace sthist {
+namespace {
+
+/// Delta-rule damping factor for frequency refinement (the paper's alpha).
+constexpr double kLearningRate = 0.5;
+
+/// Fraction of intervals per dimension split (and merged) at each
+/// restructuring.
+constexpr double kRestructureFraction = 0.15;
+
+}  // namespace
 
 STGridHistogram::STGridHistogram(const Box& domain, double total_tuples,
                                  const STGridConfig& config)
     : domain_(domain), config_(config) {
   STHIST_CHECK(domain.dim() > 0);
   STHIST_CHECK(config.cells_per_dim >= 2);
-  STHIST_CHECK(config.learning_rate > 0.0 && config.learning_rate <= 1.0);
 
   const size_t k = config.cells_per_dim;
   size_t cells = 1;
@@ -165,7 +174,7 @@ void STGridHistogram::Refine(const Box& query,
     for (auto& [index, fraction] : overlaps) {
       double weight = frequencies_[index] * fraction / estimate;
       frequencies_[index] = std::max(
-          0.0, frequencies_[index] + config_.learning_rate * error * weight);
+          0.0, frequencies_[index] + kLearningRate * error * weight);
     }
   } else {
     // Nothing to scale against: spread evenly over the overlapped portions.
@@ -174,8 +183,8 @@ void STGridHistogram::Refine(const Box& query,
     if (total_fraction <= 0.0) return;
     for (auto& [index, fraction] : overlaps) {
       frequencies_[index] = std::max(
-          0.0, frequencies_[index] + config_.learning_rate * error *
-                                         fraction / total_fraction);
+          0.0, frequencies_[index] + kLearningRate * error * fraction /
+                                         total_fraction);
     }
   }
 
@@ -195,8 +204,7 @@ double STGridHistogram::TotalFrequency() const {
 void STGridHistogram::Restructure() {
   const size_t k = config_.cells_per_dim;
   size_t moves = std::max<size_t>(
-      1, static_cast<size_t>(config_.restructure_fraction *
-                             static_cast<double>(k)));
+      1, static_cast<size_t>(kRestructureFraction * static_cast<double>(k)));
 
   for (size_t d = 0; d < dim(); ++d) {
     for (size_t move = 0; move < moves; ++move) {

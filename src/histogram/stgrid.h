@@ -14,15 +14,8 @@ struct STGridConfig {
   /// count is cells_per_dim^d.
   size_t cells_per_dim = 8;
 
-  /// Delta-rule damping factor for frequency refinement (the paper's alpha).
-  double learning_rate = 0.5;
-
   /// Queries between grid restructurings (0 disables restructuring).
   size_t restructure_interval = 200;
-
-  /// Fraction of intervals per dimension split (and merged) at each
-  /// restructuring.
-  double restructure_fraction = 0.15;
 };
 
 /// Grid-based self-tuning histogram in the spirit of STGrid

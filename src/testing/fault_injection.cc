@@ -11,6 +11,10 @@ namespace {
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// How far out-of-domain tuples and shifted query boxes land, as a
+/// multiple of the domain extent.
+constexpr double kDisplacement = 2.0;
+
 }  // namespace
 
 Dataset CorruptDataset(const Dataset& data, const Box& domain,
@@ -37,7 +41,7 @@ Dataset CorruptDataset(const Dataset& data, const Box& domain,
           break;
         default:
           // Finite but far outside the domain.
-          tuple[d] = domain.hi(d) + config.displacement * domain.Extent(d);
+          tuple[d] = domain.hi(d) + kDisplacement * domain.Extent(d);
           break;
       }
     }
@@ -97,8 +101,8 @@ Workload CorruptWorkload(const Workload& workload, const Box& domain,
           break;
         default: {
           // Shift the box entirely outside the domain.
-          double shift = config.displacement *
-                         std::max(domain.Extent(d), q.hi(d) - q.lo(d));
+          double shift =
+              kDisplacement * std::max(domain.Extent(d), q.hi(d) - q.lo(d));
           q.set_lo(d, domain.hi(d) + shift);
           q.set_hi(d, domain.hi(d) + shift + (query.hi(d) - query.lo(d)));
           break;

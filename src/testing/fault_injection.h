@@ -31,10 +31,6 @@ struct FaultConfig {
   /// Multiplicative noise span for noisy cardinalities: a corrupted count is
   /// scaled by a factor drawn from [1/noise_factor, noise_factor].
   double noise_factor = 4.0;
-
-  /// How far out-of-domain tuples and shifted query boxes land, as a
-  /// multiple of the domain extent.
-  double displacement = 2.0;
 };
 
 /// Returns a copy of `data` where ~rate of the tuples are corrupted: one

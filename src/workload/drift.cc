@@ -201,10 +201,10 @@ Status Validate(const DriftConfig& config) {
     return StatusF(StatusCode::kInvalidArgument,
                    "move_span must be in [0,1), got %g", config.move_span);
   }
-  if (config.churn_active == 0 || config.churn_active > config.churn_pool) {
+  if (config.churn_active == 0 || config.churn_active > kChurnPool) {
     return StatusF(StatusCode::kInvalidArgument,
                    "churn needs 1 <= active (%zu) <= pool (%zu)",
-                   config.churn_active, config.churn_pool);
+                   config.churn_active, kChurnPool);
   }
   if (!std::isfinite(config.hotspot_volume_fraction) ||
       config.hotspot_volume_fraction <= 0.0 ||
@@ -261,10 +261,10 @@ StatusOr<DriftSchedule> MakeDriftSchedule(const DriftConfig& drift,
       // A fixed pool of single-cluster Gauss snapshots; each phase activates
       // a sliding window over the pool, so clusters appear and vanish.
       std::vector<GeneratedData> pool;
-      pool.reserve(drift.churn_pool);
+      pool.reserve(kChurnPool);
       const size_t per_cluster =
           std::max<size_t>(cluster_tuples / drift.churn_active, 1);
-      for (size_t c = 0; c < drift.churn_pool; ++c) {
+      for (size_t c = 0; c < kChurnPool; ++c) {
         GaussConfig gc;
         gc.dim = drift.dim;
         gc.num_clusters = 1;
@@ -292,8 +292,7 @@ StatusOr<DriftSchedule> MakeDriftSchedule(const DriftConfig& drift,
         phase.data.domain = schedule.domain_;
         Dataset data(drift.dim);
         for (size_t j = 0; j < drift.churn_active; ++j) {
-          const GeneratedData& member =
-              pool[(ph + j) % drift.churn_pool];
+          const GeneratedData& member = pool[(ph + j) % kChurnPool];
           for (size_t i = 0; i < member.data.size(); ++i) {
             data.Append(member.data.row(i));
           }

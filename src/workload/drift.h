@@ -55,6 +55,10 @@ StatusOr<DriftScenario> ParseDriftScenario(std::string_view name);
 /// Printable scenario name (the CLI spelling).
 const char* DriftScenarioName(DriftScenario scenario);
 
+/// kClusterChurn: size of the cluster pool that the active window slides
+/// over.
+constexpr size_t kChurnPool = 6;
+
 /// Shape of a drifting stream. Composes with WorkloadConfig: the workload
 /// config supplies the per-phase query count, volume fraction, and (where a
 /// scenario does not dictate its own placement) the center distribution;
@@ -83,9 +87,8 @@ struct DriftConfig {
   /// (p/(phases-1) - 0.5) * move_span, clamped so bands stay inside).
   double move_span = 0.6;
 
-  /// kClusterChurn: size of the cluster pool and how many are active per
-  /// phase (a sliding window over the pool).
-  size_t churn_pool = 6;
+  /// kClusterChurn: how many clusters of the kChurnPool-sized pool are
+  /// active per phase (a sliding window over the pool).
   size_t churn_active = 3;
 
   /// kHotspot: hotspot volume as a fraction of the domain volume.

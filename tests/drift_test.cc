@@ -121,7 +121,7 @@ TEST(DriftTest, ValidateRejectsBadConfigs) {
   bad.move_span = 1.0;
   EXPECT_FALSE(Validate(bad).ok());
   bad = dc;
-  bad.churn_active = bad.churn_pool + 1;
+  bad.churn_active = kChurnPool + 1;
   EXPECT_FALSE(Validate(bad).ok());
   bad = dc;
   bad.hotspot_volume_fraction = 0.0;

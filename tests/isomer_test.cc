@@ -183,9 +183,8 @@ TEST(IsomerTest, RecentConstraintsStayNearlySatisfied) {
   for (const Box& q : w) h.Refine(q, executor);
   // The inconsistency threshold (0.5) bounds what the retained window may
   // still be violated by after solving.
-  IsomerConfig reference;
   EXPECT_LT(h.MaxConstraintViolation(),
-            reference.inconsistency_threshold + 0.05)
+            IsomerHistogram::kInconsistencyThreshold + 0.05)
       << "scaling keeps the retained window approximately consistent";
 }
 

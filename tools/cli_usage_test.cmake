@@ -1,8 +1,9 @@
 # Bad flags fail before a command does any work, with a message naming the
 # offending flag: a malformed number, or a flag the command (or the selected
-# serve-sim mode or clusterer) does not read, is a usage error (exit 2); a
-# well-formed value outside its range is a runtime failure (exit 1) instead
-# of an abort. A well-formed command must still exit 0. Run through ctest:
+# serve-sim or fleet-sim mode or clusterer) does not read, is a usage error
+# (exit 2); a well-formed value outside its range is a runtime failure
+# (exit 1) instead of an abort. A well-formed command must still exit 0.
+# Run through ctest:
 #   cmake -DCLI=<path to sthist_cli> -P tools/cli_usage_test.cmake
 
 if(NOT CLI)
@@ -73,6 +74,19 @@ expect_exit(2 "--readers" serve-sim --tuples 2000 --pace 1 --readers 8)
 expect_exit(2 "--fault-rate" serve-sim --tuples 2000 --pace 1 --fault-rate 0.5)
 expect_exit(2 "--reinit-window"
   serve-sim --tuples 2000 --readers 2 --reinit-window 5)
+
+# fleet-sim --restore takes its tenants and seed from the file and skips the
+# driver; snapshot load/verify never refine. Each refuses the flags it does
+# not read before it opens the file, so the file need not exist. The usage
+# text names every flag, so these match the whole error.
+foreach(flag tenants seed buckets pace)
+  expect_exit(2 "--${flag} in fleet-sim restore mode"
+    fleet-sim --queries 32 --restore missing.snap --${flag} 5)
+endforeach()
+foreach(mode load verify)
+  expect_exit(2 "--buckets in snapshot ${mode}"
+    snapshot ${mode} --in missing.snap --buckets 999)
+endforeach()
 
 expect_exit(0 ""
   experiment --dataset cross --tuples 2000 --train 10 --sim 10 --buckets 10)

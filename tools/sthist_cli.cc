@@ -752,13 +752,13 @@ Status RunSnapshotSave(const Flags& flags) {
 // command-line face of the fail-closed contract the fuzz tests hold. load
 // prints a table of the contents; verify prints one OK line for scripts.
 Status RunSnapshotLoad(const Flags& flags, bool verify_only) {
+  const std::string command =
+      std::string("snapshot ") + (verify_only ? "verify" : "load");
   STHIST_RETURN_IF_ERROR(
-      flags.CheckAllowed({STHIST_COMMON_FLAGS, "in", "buckets"}));
+      flags.CheckMode(command, {STHIST_COMMON_FLAGS, "in"}));
   std::string path = flags.Str("in", "");
   if (path.empty()) {
-    return Status::InvalidArgument(
-        std::string("snapshot ") + (verify_only ? "verify" : "load") +
-        " requires --in <file>");
+    return Status::InvalidArgument(command + " requires --in <file>");
   }
   StatusOr<std::string> bytes = snapshot_io::ReadFile(path);
   if (!bytes.ok()) return bytes.status();
@@ -767,13 +767,11 @@ Status RunSnapshotLoad(const Flags& flags, bool verify_only) {
                    "%s: %zu bytes is too short to hold a snapshot magic",
                    path.c_str(), bytes->size());
   }
-  // The bucket budget only matters if the loaded histogram is refined
-  // further; decoding never merges, so any value is safe here. Histogram
-  // blobs are self-describing (registry.h): RestoreHistogram dispatches on
-  // the blob's own magic, so the file works regardless of which estimator
-  // wrote it.
-  HistogramConfig hc;
-  hc.buckets = flags.Size("buckets", 100);
+  // Decoding never refines, so the default bucket budget is never used.
+  // Histogram blobs are self-describing (registry.h): RestoreHistogram
+  // dispatches on the blob's own magic, so the file works regardless of
+  // which estimator wrote it.
+  const HistogramConfig hc;
   const unsigned long long file_digest =
       static_cast<unsigned long long>(binfmt::Fnv1a(*bytes));
 
@@ -1344,10 +1342,25 @@ Status RunServeSim(const Flags& flags) {
 // ---------------------------------------------------------------------------
 
 Status RunFleetSim(const Flags& flags) {
-  STHIST_RETURN_IF_ERROR(flags.CheckAllowed(
-      {STHIST_COMMON_FLAGS, "tenants", "refiners", "queries", "buckets",
-       "readers", "pace", "seed", "queue-cap", "publish-batch", "snapshot",
-       "restore"}));
+  // --restore hands the fleet off from an "STHF" snapshot: tenant count,
+  // keys, seed, and per-tenant histograms all come from the file (so the
+  // digest of a `--queries 0` restore matches the digest the saving run
+  // printed), and the driver is skipped, so restore mode reads neither
+  // --tenants/--seed nor the driver's --buckets/--pace. The keys must be
+  // fleet-sim's own tenant_<index> keys — the index recovers which data
+  // variant the tenant serves.
+  const bool restoring = flags.Has("restore");
+  if (restoring) {
+    STHIST_RETURN_IF_ERROR(flags.CheckMode(
+        "fleet-sim restore mode",
+        {STHIST_COMMON_FLAGS, "refiners", "queries", "readers", "queue-cap",
+         "publish-batch", "snapshot", "restore"}));
+  } else {
+    STHIST_RETURN_IF_ERROR(flags.CheckAllowed(
+        {STHIST_COMMON_FLAGS, "tenants", "refiners", "queries", "buckets",
+         "readers", "pace", "seed", "queue-cap", "publish-batch",
+         "snapshot"}));
+  }
   STHIST_RETURN_IF_ERROR(flags.CheckThreadLimit("refiners"));
   STHIST_RETURN_IF_ERROR(flags.CheckThreadLimit("readers"));
 
@@ -1358,14 +1371,7 @@ Status RunFleetSim(const Flags& flags) {
   const size_t pace = flags.Size("pace", 0);
   uint64_t seed = flags.Size("seed", 1);
 
-  // --restore hands the fleet off from an "STHF" snapshot: tenant count,
-  // keys, seed, and per-tenant histograms all come from the file (so the
-  // digest of a `--queries 0` restore matches the digest the saving run
-  // printed); --tenants/--seed are ignored. The keys must be fleet-sim's own
-  // tenant_<index> keys — the index recovers which data variant the tenant
-  // serves.
   snapshot_io::FleetSnapshot restored;
-  const bool restoring = flags.Has("restore");
   if (restoring) {
     StatusOr<std::string> bytes =
         snapshot_io::ReadFile(flags.Str("restore", ""));
@@ -1650,7 +1656,8 @@ void PrintUsage() {
       "              snapshot; --restore f.snap hands the fleet off from one\n"
       "              (tenants/seed come from the file, the driver is skipped,\n"
       "              and with the saving run's --queries the digest matches\n"
-      "              it)\n"
+      "              it); restore mode takes only --queries --refiners\n"
+      "              --readers --queue-cap --publish-batch --snapshot\n"
       "\n"
       "dataset flags: --dataset cross|gauss|sky|particle --tuples N --dim D\n"
       "--seed S, or --data file.csv\n"
