@@ -71,8 +71,6 @@ BenchOptions ExtractBenchOptions(int* argc, char** argv) {
         std::exit(2);
       }
       options.threads = static_cast<size_t>(value);
-    } else if (std::strcmp(arg, "--seed") == 0 && has_value) {
-      options.seed = ParseCount(arg, argv[++read]);
     } else if (std::strcmp(arg, "--metrics-json") == 0 && has_value) {
       options.metrics_json = argv[++read];
     } else {
@@ -88,12 +86,26 @@ BenchOptions ParseBenchOptions(int argc, char** argv) {
   if (argc > 1) {
     std::fprintf(stderr,
                  "unknown argument: %s\n"
-                 "usage: %s [--threads N] [--seed N] [--metrics-json PATH]\n"
+                 "usage: %s [--threads N] [--metrics-json PATH]\n"
                  "(STHIST_FULL=1 in the environment selects paper scale)\n",
                  argv[1], argv[0]);
     std::exit(2);
   }
   return options;
+}
+
+uint64_t ExtractCountFlag(int* argc, char** argv, const char* flag) {
+  uint64_t value = 0;
+  int write = 1;
+  for (int read = 1; read < *argc; ++read) {
+    if (std::strcmp(argv[read], flag) == 0 && read + 1 < *argc) {
+      value = ParseCount(flag, argv[++read]);
+    } else {
+      argv[write++] = argv[read];
+    }
+  }
+  *argc = write;
+  return value;
 }
 
 bool WriteBenchArtifact(

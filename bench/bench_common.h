@@ -35,14 +35,11 @@ inline double ApproxP99Seconds(
 struct BenchOptions {
   /// Worker threads for sweeps/batching (0 = hardware concurrency).
   size_t threads = 0;
-  /// Offset applied to the harness's workload seeds (0 = harness default),
-  /// for cheap run-to-run variation without editing the source.
-  uint64_t seed = 0;
   /// Where to write the BENCH_*.json artifact ("" = don't).
   std::string metrics_json;
 };
 
-/// Parses the shared flags (--threads N, --seed N, --metrics-json PATH)
+/// Parses the shared flags (--threads N, --metrics-json PATH)
 /// out of argv, removing each one (and its value) in place and
 /// decrementing *argc; anything unrecognized is left for the caller —
 /// google-benchmark mains pass the remainder to benchmark::Initialize. Also
@@ -54,6 +51,11 @@ BenchOptions ExtractBenchOptions(int* argc, char** argv);
 /// Strict variant for plain harnesses: anything left over after extraction
 /// is a usage error (prints to stderr, exits 2).
 BenchOptions ParseBenchOptions(int argc, char** argv);
+
+/// Removes `flag N` from argv like ExtractBenchOptions and returns N as a
+/// non-negative integer (0 when absent; exits 2 when malformed): for a flag
+/// only one harness reads, taken out before ParseBenchOptions sees argv.
+uint64_t ExtractCountFlag(int* argc, char** argv, const char* flag);
 
 /// Writes the bench artifact to options.metrics_json:
 ///   {"bench": <name>, "summary": {...}, "metrics": <registry snapshot>}

@@ -36,5 +36,27 @@ TEST(ApproxP99SecondsTest, OverflowReportsTheMaxAndEmptyReportsZero) {
   EXPECT_EQ(ApproxP99Seconds(Observed({})), 0.0);
 }
 
+// --seed belongs to bench_serve alone: a harness that parses only the
+// shared flags refuses it like any unknown argument.
+TEST(ParseBenchOptionsDeathTest, RefusesSeed) {
+  char name[] = "bench", flag[] = "--seed", value[] = "5";
+  char* argv[] = {name, flag, value, nullptr};
+  EXPECT_EXIT(ParseBenchOptions(3, argv), ::testing::ExitedWithCode(2),
+              "unknown argument: --seed");
+}
+
+TEST(ExtractCountFlagTest, RemovesTheFlagAndItsValue) {
+  char name[] = "bench", threads[] = "--threads", two[] = "2",
+       flag[] = "--seed", seven[] = "7";
+  char* argv[] = {name, threads, two, flag, seven, nullptr};
+  int argc = 5;
+  EXPECT_EQ(ExtractCountFlag(&argc, argv, "--seed"), 7u);
+  ASSERT_EQ(argc, 3);
+  EXPECT_STREQ(argv[1], "--threads");
+  EXPECT_STREQ(argv[2], "2");
+  EXPECT_EQ(ExtractCountFlag(&argc, argv, "--seed"), 0u);
+  EXPECT_EQ(argc, 3);
+}
+
 }  // namespace
 }  // namespace sthist::bench

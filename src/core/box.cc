@@ -3,22 +3,54 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <memory>
+#include <utility>
 
 #include "core/check.h"
 
 namespace sthist {
 
-Box::Box(std::vector<double> lo, std::vector<double> hi)
-    : lo_(std::move(lo)), hi_(std::move(hi)) {
-  STHIST_CHECK(lo_.size() == hi_.size());
-  for (size_t d = 0; d < lo_.size(); ++d) {
-    STHIST_CHECK_MSG(lo_[d] <= hi_[d], "dim %zu: lo=%g hi=%g", d, lo_[d],
-                     hi_[d]);
+Box::Box(size_t dim)
+    : bounds_(dim == 0 ? nullptr
+                       : std::make_unique_for_overwrite<double[]>(2 * dim)),
+      dim_(dim) {}
+
+Box::Box(const std::vector<double>& lo, const std::vector<double>& hi)
+    : Box(lo.size()) {
+  STHIST_CHECK(lo.size() == hi.size());
+  for (size_t d = 0; d < dim_; ++d) {
+    STHIST_CHECK_MSG(lo[d] <= hi[d], "dim %zu: lo=%g hi=%g", d, lo[d], hi[d]);
+    set_lo(d, lo[d]);
+    set_hi(d, hi[d]);
   }
 }
 
 Box Box::Cube(size_t dim, double lo, double hi) {
-  return Box(std::vector<double>(dim, lo), std::vector<double>(dim, hi));
+  STHIST_CHECK_MSG(dim == 0 || lo <= hi, "lo=%g hi=%g", lo, hi);
+  Box box(dim);
+  std::fill_n(box.bounds_.get(), dim, lo);
+  std::fill_n(box.bounds_.get() + dim, dim, hi);
+  return box;
+}
+
+Box::Box(const Box& other) : Box(other.dim_) {
+  std::copy_n(other.bounds_.get(), 2 * dim_, bounds_.get());
+}
+
+Box& Box::operator=(const Box& other) {
+  if (this == &other) return *this;
+  if (dim_ != other.dim_) *this = Box(other.dim_);
+  std::copy_n(other.bounds_.get(), 2 * dim_, bounds_.get());
+  return *this;
+}
+
+Box::Box(Box&& other) noexcept
+    : bounds_(std::move(other.bounds_)), dim_(std::exchange(other.dim_, 0)) {}
+
+Box& Box::operator=(Box&& other) noexcept {
+  bounds_ = std::move(other.bounds_);
+  dim_ = std::exchange(other.dim_, 0);
+  return *this;
 }
 
 double Box::Volume() const {
@@ -30,7 +62,7 @@ double Box::Volume() const {
 bool Box::ContainsPoint(std::span<const double> p) const {
   STHIST_DCHECK(p.size() == dim());
   for (size_t d = 0; d < dim(); ++d) {
-    if (p[d] < lo_[d] || p[d] > hi_[d]) return false;
+    if (p[d] < lo(d) || p[d] > hi(d)) return false;
   }
   return true;
 }
@@ -38,7 +70,7 @@ bool Box::ContainsPoint(std::span<const double> p) const {
 bool Box::Contains(const Box& other) const {
   STHIST_DCHECK(other.dim() == dim());
   for (size_t d = 0; d < dim(); ++d) {
-    if (other.lo_[d] < lo_[d] || other.hi_[d] > hi_[d]) return false;
+    if (other.lo(d) < lo(d) || other.hi(d) > hi(d)) return false;
   }
   return true;
 }
@@ -46,61 +78,65 @@ bool Box::Contains(const Box& other) const {
 bool Box::Intersects(const Box& other) const {
   STHIST_DCHECK(other.dim() == dim());
   for (size_t d = 0; d < dim(); ++d) {
-    if (other.hi_[d] <= lo_[d] || other.lo_[d] >= hi_[d]) return false;
+    if (other.hi(d) <= lo(d) || other.lo(d) >= hi(d)) return false;
   }
   return true;
 }
 
 Box Box::Intersection(const Box& other) const {
   STHIST_DCHECK(other.dim() == dim());
-  std::vector<double> lo(dim()), hi(dim());
+  Box out(dim());
   for (size_t d = 0; d < dim(); ++d) {
-    lo[d] = std::max(lo_[d], other.lo_[d]);
-    hi[d] = std::min(hi_[d], other.hi_[d]);
-    if (hi[d] < lo[d]) hi[d] = lo[d];  // Disjoint: clamp to a degenerate box.
+    const double lo_d = std::max(lo(d), other.lo(d));
+    const double hi_d = std::min(hi(d), other.hi(d));
+    out.set_lo(d, lo_d);
+    // Disjoint: clamp to a degenerate box.
+    out.set_hi(d, hi_d < lo_d ? lo_d : hi_d);
   }
-  return Box(std::move(lo), std::move(hi));
+  return out;
 }
 
 double Box::IntersectionVolume(const Box& other) const {
   STHIST_DCHECK(other.dim() == dim());
   double v = 1.0;
   for (size_t d = 0; d < dim(); ++d) {
-    double lo = std::max(lo_[d], other.lo_[d]);
-    double hi = std::min(hi_[d], other.hi_[d]);
-    if (hi <= lo) return 0.0;
-    v *= hi - lo;
+    double lo_d = std::max(lo(d), other.lo(d));
+    double hi_d = std::min(hi(d), other.hi(d));
+    if (hi_d <= lo_d) return 0.0;
+    v *= hi_d - lo_d;
   }
   return v;
 }
 
 Box Box::Enclosure(const Box& a, const Box& b) {
   STHIST_CHECK(a.dim() == b.dim());
-  std::vector<double> lo(a.dim()), hi(a.dim());
+  Box out(a.dim());
   for (size_t d = 0; d < a.dim(); ++d) {
-    lo[d] = std::min(a.lo_[d], b.lo_[d]);
-    hi[d] = std::max(a.hi_[d], b.hi_[d]);
+    out.set_lo(d, std::min(a.lo(d), b.lo(d)));
+    out.set_hi(d, std::max(a.hi(d), b.hi(d)));
   }
-  return Box(std::move(lo), std::move(hi));
+  return out;
 }
 
 void Box::ExtendToContain(const Box& other) {
   STHIST_CHECK(other.dim() == dim());
   for (size_t d = 0; d < dim(); ++d) {
-    lo_[d] = std::min(lo_[d], other.lo_[d]);
-    hi_[d] = std::max(hi_[d], other.hi_[d]);
+    set_lo(d, std::min(lo(d), other.lo(d)));
+    set_hi(d, std::max(hi(d), other.hi(d)));
   }
 }
 
 bool Box::operator==(const Box& other) const {
-  return lo_ == other.lo_ && hi_ == other.hi_;
+  return dim_ == other.dim_ &&
+         std::equal(bounds_.get(), bounds_.get() + 2 * dim_,
+                    other.bounds_.get());
 }
 
 bool Box::ApproxEquals(const Box& other, double eps) const {
   if (other.dim() != dim()) return false;
   for (size_t d = 0; d < dim(); ++d) {
-    if (std::abs(lo_[d] - other.lo_[d]) > eps) return false;
-    if (std::abs(hi_[d] - other.hi_[d]) > eps) return false;
+    if (std::abs(lo(d) - other.lo(d)) > eps) return false;
+    if (std::abs(hi(d) - other.hi(d)) > eps) return false;
   }
   return true;
 }
@@ -109,8 +145,8 @@ std::string Box::ToString() const {
   std::string out;
   char buf[64];
   for (size_t d = 0; d < dim(); ++d) {
-    std::snprintf(buf, sizeof(buf), "%s[%.4g,%.4g]", d == 0 ? "" : "x", lo_[d],
-                  hi_[d]);
+    std::snprintf(buf, sizeof(buf), "%s[%.4g,%.4g]", d == 0 ? "" : "x", lo(d),
+                  hi(d));
     out += buf;
   }
   return out;

@@ -2,6 +2,7 @@
 #define STHIST_CORE_BOX_H_
 
 #include <cstddef>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -19,6 +20,10 @@ using Point = std::vector<double>;
 /// all volume computations treat the boundary as measure zero, which matches
 /// the continuous attribute domains the paper assumes (categorical attributes
 /// are mapped to numbers upstream).
+///
+/// Memory: one heap block per box holding all 2 * dim bounds, so a box is
+/// 16 bytes plus that block. Buckets and query workloads hold boxes by the
+/// hundred thousand, and a fleet holds a bucket tree per tenant.
 class Box {
  public:
   /// Constructs an empty (0-dimensional) box.
@@ -26,31 +31,38 @@ class Box {
 
   /// Constructs a box from per-dimension bounds. Requires lo.size() ==
   /// hi.size() and lo[i] <= hi[i] for all i.
-  Box(std::vector<double> lo, std::vector<double> hi);
+  Box(const std::vector<double>& lo, const std::vector<double>& hi);
 
   /// A box spanning [lo, hi] in every one of `dim` dimensions.
   static Box Cube(size_t dim, double lo, double hi);
 
+  Box(const Box& other);
+  Box& operator=(const Box& other);
+  /// A moved-from box is empty (0-dimensional).
+  Box(Box&& other) noexcept;
+  Box& operator=(Box&& other) noexcept;
+  ~Box() = default;
+
   /// Number of dimensions.
-  size_t dim() const { return lo_.size(); }
+  size_t dim() const { return dim_; }
 
   /// Lower bound in dimension d.
-  double lo(size_t d) const { return lo_[d]; }
+  double lo(size_t d) const { return bounds_[d]; }
   /// Upper bound in dimension d.
-  double hi(size_t d) const { return hi_[d]; }
+  double hi(size_t d) const { return bounds_[dim_ + d]; }
 
   /// Mutable access for in-place shrinking/growing. Callers must keep
   /// lo <= hi.
-  void set_lo(size_t d, double v) { lo_[d] = v; }
-  void set_hi(size_t d, double v) { hi_[d] = v; }
+  void set_lo(size_t d, double v) { bounds_[d] = v; }
+  void set_hi(size_t d, double v) { bounds_[dim_ + d] = v; }
 
   /// Side length in dimension d.
-  double Extent(size_t d) const { return hi_[d] - lo_[d]; }
+  double Extent(size_t d) const { return hi(d) - lo(d); }
 
   /// Contiguous per-dimension bounds, for kernels that consume raw planes
   /// (core/simd.h). Valid while the box is alive and unmodified.
-  const double* lo_data() const { return lo_.data(); }
-  const double* hi_data() const { return hi_.data(); }
+  const double* lo_data() const { return bounds_.get(); }
+  const double* hi_data() const { return bounds_.get() + dim_; }
 
   /// Product of all side lengths. A degenerate box has volume 0.
   double Volume() const;
@@ -91,8 +103,12 @@ class Box {
   std::string ToString() const;
 
  private:
-  std::vector<double> lo_;
-  std::vector<double> hi_;
+  /// A box of `dim` dimensions with unset bounds.
+  explicit Box(size_t dim);
+
+  // lo(0..dim) then hi(0..dim).
+  std::unique_ptr<double[]> bounds_;
+  size_t dim_ = 0;
 };
 
 }  // namespace sthist

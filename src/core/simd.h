@@ -7,7 +7,8 @@
 /// \file
 /// Portable vectorized box-intersection kernels (DESIGN.md §15).
 ///
-/// The flat bucket index stores bounds as structure-of-arrays planes —
+/// The flat bucket indexes (the bucket-tree layout's child runs, MHist's
+/// box index) store bounds as structure-of-arrays planes —
 /// `plane[d * stride + slot]` — so testing a run of buckets against one
 /// query is a pure vertical operation: broadcast the query bound for
 /// dimension d, compare it against a contiguous vector of entry bounds, AND

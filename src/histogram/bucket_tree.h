@@ -6,7 +6,6 @@
 #include <cmath>
 #include <cstdint>
 #include <mutex>
-#include <span>
 #include <vector>
 
 #include "core/box.h"
@@ -14,7 +13,6 @@
 #include "core/simd.h"
 #include "histogram/histogram.h"
 #include "histogram/robustness.h"
-#include "index/flat_index.h"
 #include "obs/metrics.h"
 
 namespace sthist {
@@ -235,167 +233,160 @@ void CheckBucketTree(const BucketT& root, size_t bucket_count) {
 }
 
 // ---------------------------------------------------------------------------
-// Spatial index over the buckets
+// Flat layout of the bucket tree (the bucket index)
 // ---------------------------------------------------------------------------
 
-/// Reference to one bucket as a child of its parent: the probe result
-/// currency. `slot` is the index into `parent->children`; `id` is the
-/// bucket's entry in the BucketTreeIndex that produced the reference (it
-/// fills what would otherwise be padding, so the reference stays 16 bytes).
-template <typename BucketT>
-struct BucketChildRef {
-  const BucketT* parent = nullptr;
-  uint32_t slot = 0;
-  uint32_t id = 0;
-};
-
-/// Probe result: all buckets open-intersecting a query, grouped by parent
-/// and ordered by child slot within each group — i.e. exactly the
-/// sub-sequence of each node's child loop the linear scan would have found
-/// intersecting, in the order it would have found them.
-template <typename BucketT>
-class BucketGroups {
- public:
-  /// The intersecting children of `parent`, in ascending slot order.
-  std::span<const BucketChildRef<BucketT>> Of(const BucketT* parent) const {
-    auto less_parent = [](const BucketChildRef<BucketT>& ref,
-                          const BucketT* p) {
-      return std::less<const BucketT*>()(ref.parent, p);
-    };
-    auto first = std::lower_bound(hits_.begin(), hits_.end(), parent,
-                                  less_parent);
-    auto last = first;
-    while (last != hits_.end() && last->parent == parent) ++last;
-    if (first == last) return {};
-    return {&*first, static_cast<size_t>(last - first)};
-  }
-
-  bool empty() const { return hits_.empty(); }
-  size_t size() const { return hits_.size(); }
-
- private:
-  template <typename T>
-  friend class BucketTreeIndex;
-
-  std::vector<BucketChildRef<BucketT>> hits_;
-  // Probe scratch, reused across calls so a steady-state probe through a
-  // long-lived BucketGroups (the estimators hold one per thread) never
-  // allocates.
-  std::vector<uint64_t> scratch_ids_;
-};
-
-/// Spatial index over every non-root bucket of one histogram's bucket tree,
-/// on the flat SoA probe layer (FlatBoxIndex, DESIGN.md §15), together with
-/// the region volume of the root and of every indexed bucket. Each build
-/// computes those volumes with RegionVolume, so they are the linear path's
-/// values by construction.
+/// The bucket tree laid out flat for the read path (DESIGN.md §10, §15).
+/// Buckets are numbered breadth-first from the root (id 0), so each node's
+/// children hold consecutive ids in slot order and their bounds form one
+/// contiguous run of structure-of-arrays planes (`lo[d * n + id]`), the
+/// shape simd::MatchBoxes scans. Per id it also keeps the region volume, the
+/// first child's id, the child count and a pointer to the bucket node.
+///
+/// Frequencies stay in the nodes and are read through that pointer: STHoles's
+/// exact-frequency correction and ISOMER's scaling change them without a
+/// structural change, so a copied frequency would go stale.
 ///
 /// Lifecycle: built from scratch by `Rebuild`; any structural change to the
-/// tree makes it stale, and it is rebuilt before the next probe (the
-/// maintenance policy in DESIGN.md §10). Probes are const and safe to run
+/// tree makes it stale, and it is rebuilt before the next walk (the
+/// maintenance policy in DESIGN.md §10). Walks are const and safe to run
 /// concurrently once built.
 template <typename BucketT>
-class BucketTreeIndex {
+class FlatBucketTree {
  public:
-  /// Rebuilds from scratch over the tree rooted at `root`. O(n log n) in the
-  /// bucket count.
+  /// Work done by one walk, for the index.* metrics (DESIGN.md §13).
+  struct WalkStats {
+    /// Non-empty child runs scanned.
+    uint32_t runs = 0;
+    /// 4-slot blocks those runs span, the AVX2 kernel's width.
+    uint32_t blocks = 0;
+  };
+
+  /// Rebuilds from scratch over the tree rooted at `root`. O(n) in the
+  /// bucket count. Region volumes come from RegionVolume, so they are the
+  /// linear path's values by construction.
   void Rebuild(const BucketT& root) {
-    refs_.clear();
-    regions_.clear();
-    root_region_ = RegionVolume(root);
-    std::vector<FlatBoxIndex::Entry> entries;
-    std::vector<const BucketT*> pending = {&root};
-    while (!pending.empty()) {
-      const BucketT* bucket = pending.back();
-      pending.pop_back();
-      for (uint32_t slot = 0;
-           slot < static_cast<uint32_t>(bucket->children.size()); ++slot) {
-        const BucketT* child = bucket->children[slot].get();
-        const uint32_t id = static_cast<uint32_t>(refs_.size());
-        entries.push_back({child->box, id});
-        refs_.push_back({bucket, slot, id});
-        regions_.push_back(RegionVolume(*child));
-        pending.push_back(child);
+    nodes_.clear();
+    nodes_.push_back({&root, RegionVolume(root), 0, 0});
+    for (size_t id = 0; id < nodes_.size(); ++id) {
+      const BucketT* bucket = nodes_[id].bucket;
+      nodes_[id].first = static_cast<uint32_t>(nodes_.size());
+      nodes_[id].count = static_cast<uint32_t>(bucket->children.size());
+      for (const auto& child : bucket->children) {
+        nodes_.push_back({child.get(), RegionVolume(*child), 0, 0});
       }
     }
-    tree_.Bulk(std::move(entries));
+    n_ = nodes_.size();
+    dim_ = root.box.dim();
+    lo_.resize(dim_ * n_);
+    hi_.resize(dim_ * n_);
+    for (size_t id = 0; id < n_; ++id) {
+      for (size_t d = 0; d < dim_; ++d) {
+        lo_[d * n_ + id] = nodes_[id].bucket->box.lo(d);
+        hi_[d * n_ + id] = nodes_[id].bucket->box.hi(d);
+      }
+    }
   }
 
-  /// Fills `out` with the buckets open-intersecting `query`, grouped for
-  /// BucketGroups::Of. Thread-safe against concurrent Probe calls. Returns
-  /// the probe's work (flat-index nodes and entry blocks, for metrics).
-  /// Allocation-free once `out`'s buffers have reached steady-state
-  /// capacity — the hot read path reuses the scratch inside BucketGroups
-  /// instead of allocating per query.
-  FlatBoxIndex::ProbeStats Probe(const Box& query,
-                                 BucketGroups<BucketT>* out) const {
-    out->hits_.clear();
-    std::vector<uint64_t>& ids = out->scratch_ids_;
-    ids.clear();
-    const FlatBoxIndex::ProbeStats stats =
-        tree_.Probe(query, BoxOverlap::kOpenInterior, &ids);
-    out->hits_.reserve(ids.size());
-    for (uint64_t id : ids) out->hits_.push_back(refs_[id]);
-    std::sort(out->hits_.begin(), out->hits_.end(),
-              [](const BucketChildRef<BucketT>& a,
-                 const BucketChildRef<BucketT>& b) {
-                if (a.parent != b.parent) {
-                  return std::less<const BucketT*>()(a.parent, b.parent);
-                }
-                return a.slot < b.slot;
-              });
-    return stats;
+  /// Buckets held, root included: the hit buffer a walk needs.
+  size_t size() const { return n_; }
+
+  /// RegionVolume of bucket `id` as of the last Rebuild; the root is id 0.
+  double region(uint32_t id) const { return nodes_[id].region; }
+
+  /// Id of the first child of bucket `id`; child slot s has id first + s.
+  uint32_t first_child(uint32_t id) const { return nodes_[id].first; }
+
+  /// Writes to `out` the ids of the children of bucket `id` whose boxes
+  /// open-intersect the query box [qlo, qhi] (Box::Intersects), in slot
+  /// order, and returns how many. `out` must have room for the child count.
+  uint32_t MatchChildren(uint32_t id, const double* qlo, const double* qhi,
+                         uint32_t* out, WalkStats* stats) const {
+    const Node& node = nodes_[id];
+    if (node.count == 0) return 0;
+    ++stats->runs;
+    stats->blocks += (node.count + 3) / 4;
+    return static_cast<uint32_t>(
+        simd::MatchBoxes(lo_.data(), hi_.data(), n_, dim_, node.first,
+                         node.count, qlo, qhi, /*closed=*/false, out));
   }
 
-  /// RegionVolume of the root, and of the bucket behind entry `id`, as of
-  /// the last Rebuild.
-  double root_region() const { return root_region_; }
-  double region(uint32_t id) const { return regions_[id]; }
+  /// Paper eq. 1 over the whole tree, bitwise-identical to EstimateNode on
+  /// the root (DESIGN.md §10). `hits` must have room for size() ids.
+  double Estimate(const Box& query, double min_volume, uint32_t* hits,
+                  WalkStats* stats) const {
+    if (!nodes_[0].bucket->box.Intersects(query)) return 0.0;
+    return EstimateFrom(0, query.lo_data(), query.hi_data(), min_volume, hits,
+                        stats);
+  }
 
  private:
-  FlatBoxIndex tree_;
-  // Entry id -> (parent, slot, id) and entry id -> region volume. Holds raw
-  // parent pointers, so any structural change must invalidate the index
-  // before the next probe.
-  std::vector<BucketChildRef<BucketT>> refs_;
-  std::vector<double> regions_;
-  double root_region_ = 0.0;
+  struct Node {
+    const BucketT* bucket = nullptr;
+    double region = 0.0;
+    uint32_t first = 0;
+    uint32_t count = 0;
+  };
+
+  // Eq. 1 over the subtree of bucket `id`, which open-intersects the query
+  // box [qlo, qhi]. EstimateNode's arithmetic in EstimateNode's order: the
+  // children that miss would subtract, and add, exact 0.0 there, so skipping
+  // them changes no bit. This node's hits go to `hits`; each child's go
+  // after them.
+  double EstimateFrom(uint32_t id, const double* qlo, const double* qhi,
+                      double min_volume, uint32_t* hits,
+                      WalkStats* stats) const {
+    const uint32_t k = MatchChildren(id, qlo, qhi, hits, stats);
+    const Node& node = nodes_[id];
+    double est = 0.0;
+    if (node.region > min_volume) {
+      double overlap = IntersectionVolume(id, qlo, qhi);
+      for (uint32_t i = 0; i < k; ++i) {
+        overlap -= IntersectionVolume(hits[i], qlo, qhi);
+      }
+      overlap = std::max(overlap, 0.0);
+      est += node.bucket->frequency *
+             (std::min(overlap, node.region) / node.region);
+    } else if (Contained(id, qlo, qhi)) {
+      est += node.bucket->frequency;
+    }
+    for (uint32_t i = 0; i < k; ++i) {
+      est += EstimateFrom(hits[i], qlo, qhi, min_volume, hits + k, stats);
+    }
+    return est;
+  }
+
+  // Box::IntersectionVolume of bucket `id` with the query, from the planes,
+  // with the same operands in the same order.
+  double IntersectionVolume(uint32_t id, const double* qlo,
+                            const double* qhi) const {
+    double v = 1.0;
+    for (size_t d = 0; d < dim_; ++d) {
+      const double lo = std::max(lo_[d * n_ + id], qlo[d]);
+      const double hi = std::min(hi_[d * n_ + id], qhi[d]);
+      if (hi <= lo) return 0.0;
+      v *= hi - lo;
+    }
+    return v;
+  }
+
+  // Box::Contains of the query over bucket `id`, from the planes.
+  bool Contained(uint32_t id, const double* qlo, const double* qhi) const {
+    for (size_t d = 0; d < dim_; ++d) {
+      if (lo_[d * n_ + id] < qlo[d] || hi_[d * n_ + id] > qhi[d]) return false;
+    }
+    return true;
+  }
+
+  size_t dim_ = 0;
+  size_t n_ = 0;
+  // Bucket bound planes, [d * n_ + id]. Nodes hold raw bucket pointers, so
+  // any structural change must invalidate the layout before the next walk.
+  std::vector<double> lo_, hi_;
+  std::vector<Node> nodes_;
 };
 
-/// Indexed replay of the estimation recursion (paper eq. 1) over only the
-/// probed buckets; `region` is the bucket's region volume as `index` holds
-/// it. Bitwise-identical to the linear EstimateNode: the region term uses
-/// the index's region volume (identical to a fresh computation by
-/// construction), the region-intersection subtracts only the children that
-/// actually intersect (the rest subtract exact 0.0 in the linear path), and
-/// recursion descends only into intersecting children (the rest return
-/// exact 0.0) in the same child order.
-template <typename BucketT>
-double EstimateIndexed(const BucketT& bucket, double region, const Box& query,
-                       const BucketTreeIndex<BucketT>& index,
-                       const BucketGroups<BucketT>& groups,
-                       double min_volume) {
-  if (!bucket.box.Intersects(query)) return 0.0;
-  const auto kids = groups.Of(&bucket);
-  double est = 0.0;
-  if (region > min_volume) {
-    double overlap = bucket.box.IntersectionVolume(query);
-    for (const BucketChildRef<BucketT>& ref : kids) {
-      overlap -= bucket.children[ref.slot]->box.IntersectionVolume(query);
-    }
-    overlap = std::max(overlap, 0.0);
-    est += bucket.frequency * (std::min(overlap, region) / region);
-  } else if (query.Contains(bucket.box)) {
-    est += bucket.frequency;
-  }
-  for (const BucketChildRef<BucketT>& ref : kids) {
-    est += EstimateIndexed(*bucket.children[ref.slot], index.region(ref.id),
-                           query, index, groups, min_volume);
-  }
-  return est;
-}
-
-/// The read path of one bucket tree: its BucketTreeIndex, built lazily, plus
+/// The read path of one bucket tree: its FlatBucketTree, built lazily, plus
 /// the estimate-path rejection counter and the index.bucket_tree.* /
 /// index.flat.* metric handles (DESIGN.md §13). Estimate may run
 /// concurrently (snapshot readers); every structural change goes through
@@ -440,17 +431,19 @@ class LazyBucketIndex {
       }
       BuildLocked(root);
     }
-    // Thread-local scratch: probe buffers reach steady-state capacity after a
-    // few queries and the hottest read path in the system stops allocating
+    // Thread-local hit buffer: once it has grown to the largest tree this
+    // thread reads, the hottest read path in the system stops allocating
     // (asserted by tests/flat_index_test.cc via an operator-new hook).
-    static thread_local BucketGroups<BucketT> groups;
-    const FlatBoxIndex::ProbeStats stats = index_.Probe(query, &groups);
+    static thread_local std::vector<uint32_t> hits;
+    if (hits.size() < index_.size()) hits.resize(index_.size());
+    typename FlatBucketTree<BucketT>::WalkStats walk;
+    const double est =
+        index_.Estimate(query, MinRegionVolume(root.box), hits.data(), &walk);
     probes_.Inc();
-    node_visits_.Inc(stats.node_visits);
+    node_visits_.Inc(walk.runs);
     flat_probes_.Inc();
-    flat_entry_blocks_.Inc(stats.entry_blocks);
-    return EstimateIndexed(root, index_.root_region(), query, index_, groups,
-                           MinRegionVolume(root.box));
+    flat_entry_blocks_.Inc(walk.blocks);
+    return est;
   }
 
   /// The full-tree linear scan: the reference path for differential tests.
@@ -464,7 +457,7 @@ class LazyBucketIndex {
 
   /// Builds the index over `root` unless it is current (thread-safe,
   /// idempotent) and returns it.
-  const BucketTreeIndex<BucketT>& EnsureIndex(const BucketT& root) {
+  const FlatBucketTree<BucketT>& EnsureIndex(const BucketT& root) {
     std::lock_guard<std::mutex> lock(mutex_);
     BuildLocked(root);
     return index_;
@@ -497,10 +490,10 @@ class LazyBucketIndex {
     }
   }
 
-  // Serializes builds; probes run lock-free once `ready_` is observed true
+  // Serializes builds; walks run lock-free once `ready_` is observed true
   // (acquire) after the builder's release store.
   std::mutex mutex_;
-  BucketTreeIndex<BucketT> index_;
+  FlatBucketTree<BucketT> index_;
   std::atomic<bool> ready_{false};
   // Estimates served since the last structural change (kIndexBuildAfter).
   std::atomic<uint32_t> estimates_since_change_{0};

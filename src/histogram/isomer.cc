@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "core/check.h"
 #include "histogram/bucket_tree.h"
@@ -119,25 +120,40 @@ constexpr size_t kScalingRounds = 40;
 /// this relative error.
 constexpr double kScalingTolerance = 1e-3;
 
-// Recursively appends the plan node for `b` (already known to intersect the
-// probed box; `region` is its region volume as `index` holds it) and its
-// intersecting descendants in pre-order; returns the subtree size. `groups`
-// is the probe result that enumerates b's intersecting children.
-template <typename BucketT, typename NodeT, typename MakeNode>
-uint32_t AppendPlanNode(BucketT* b, double region,
-                        const BucketTreeIndex<BucketT>& index,
-                        const BucketGroups<BucketT>& groups,
-                        const MakeNode& make_node, std::vector<NodeT>* out) {
-  const size_t at = out->size();
-  out->push_back(make_node(b, region));
-  uint32_t subtree = 1;
-  for (const auto& ref : groups.Of(b)) {
-    subtree += AppendPlanNode(b->children[ref.slot].get(),
-                              index.region(ref.id), index, groups, make_node,
-                              out);
+// Appends the plan node for `b` (bucket `id` of `tree`, already known to
+// intersect `box`) and its intersecting descendants in pre-order; returns
+// the subtree size. b's hits go to `hits`, each child's after them.
+template <typename BucketT, typename NodeT>
+uint32_t AppendPlanNode(BucketT* b, uint32_t id,
+                        const FlatBucketTree<BucketT>& tree, const Box& box,
+                        double min_volume, uint32_t* hits,
+                        std::vector<NodeT>* out) {
+  typename FlatBucketTree<BucketT>::WalkStats walk;
+  const uint32_t k =
+      tree.MatchChildren(id, box.lo_data(), box.hi_data(), hits, &walk);
+  const uint32_t first = tree.first_child(id);
+  NodeT node;
+  node.bucket = b;
+  // The tree's region volume is bitwise-identical to RegionVolume here:
+  // EnsurePlan built the tree against the current structure.
+  node.region = tree.region(id);
+  // RegionIntersectionVolume, subtracting only intersecting children (the
+  // others subtract exact 0.0 in the uncached loop).
+  double v = b->box.IntersectionVolume(box);
+  for (uint32_t i = 0; i < k; ++i) {
+    v -= b->children[hits[i] - first]->box.IntersectionVolume(box);
   }
-  (*out)[at].subtree = subtree;
-  return subtree;
+  node.riv = std::max(v, 0.0);
+  node.usable = node.region > min_volume;
+  node.contained = box.Contains(b->box);
+  const size_t at = out->size();
+  out->push_back(node);
+  for (uint32_t i = 0; i < k; ++i) {
+    (*out)[at].subtree +=
+        AppendPlanNode(b->children[hits[i] - first].get(), hits[i], tree, box,
+                       min_volume, hits + k, out);
+  }
+  return (*out)[at].subtree;
 }
 
 }  // namespace
@@ -148,34 +164,14 @@ void IsomerHistogram::EnsurePlan(Constraint* constraint) {
   constraint->plan_epoch = structure_epoch_;
   constraint->plan_estimable = IsEstimableQuery(root_->box, constraint->box);
 
-  // Probe once; the plan then replays CollectIntersecting's pre-order
-  // without ever scanning non-intersecting subtrees.
-  BucketGroups<Bucket> groups;
-  const BucketTreeIndex<Bucket>& index = index_->EnsureIndex(*root_);
-  index.Probe(constraint->box, &groups);
-
+  // Walk the flat tree once; the plan then replays CollectIntersecting's
+  // pre-order without ever scanning non-intersecting subtrees.
+  const FlatBucketTree<Bucket>& tree = index_->EnsureIndex(*root_);
   const Box& box = constraint->box;
   if (root_->box.IntersectionVolume(box) <= 0.0) return;
-  const double min_volume = MinRegionVolume(root_->box);
-  auto make_node = [&](Bucket* b, double region) {
-    PlanNode node;
-    node.bucket = b;
-    // The index's region volume is bitwise-identical to RegionVolume here:
-    // EnsureIndex above built it against the current structure.
-    node.region = region;
-    // RegionIntersectionVolume, subtracting only intersecting children (the
-    // others subtract exact 0.0 in the uncached loop).
-    double v = b->box.IntersectionVolume(box);
-    for (const auto& ref : groups.Of(b)) {
-      v -= b->children[ref.slot]->box.IntersectionVolume(box);
-    }
-    node.riv = std::max(v, 0.0);
-    node.usable = node.region > min_volume;
-    node.contained = box.Contains(b->box);
-    return node;
-  };
-  AppendPlanNode(root_.get(), index.root_region(), index, groups, make_node,
-                 &constraint->plan);
+  std::vector<uint32_t> hits(tree.size());
+  AppendPlanNode(root_.get(), 0, tree, box, MinRegionVolume(root_->box),
+                 hits.data(), &constraint->plan);
 }
 
 double IsomerHistogram::PlanEstimate(const Constraint& constraint) const {

@@ -153,7 +153,8 @@ class IsomerHistogram : public Histogram {
   void EnforceBudget();
 
   // --- Constraint plans (DESIGN.md §10) ---
-  // Rebuilds constraint->plan via an index probe if its epoch is stale.
+  // Rebuilds constraint->plan by walking the bucket index if its epoch is
+  // stale.
   void EnsurePlan(Constraint* constraint);
   // Replays the estimation recursion over a (fresh) plan; bitwise-identical
   // to Estimate(constraint.box) under the current frequencies.

@@ -209,8 +209,8 @@ class STHoles : public Histogram {
   static std::shared_ptr<Bucket> ShallowCopy(const Bucket& b);
   // Replace a shared root / child handle with an exclusive shallow copy;
   // no-ops (returning the existing node) when the handle is already
-  // exclusive. Any actual copy stales the bucket index (its refs point at
-  // the superseded nodes) and counts toward the cow metrics.
+  // exclusive. Any actual copy stales the bucket index (its node pointers
+  // name the superseded nodes) and counts toward the cow metrics.
   Bucket* EnsureExclusiveRoot();
   Bucket* EnsureExclusiveChild(Bucket* parent, size_t slot);
   // Unshares the whole spine from the root down to `target` (found by

@@ -20,8 +20,10 @@ enum class BoxOverlap {
 };
 
 /// Spatial index over (box, id) entries answering box-intersection probes:
-/// the index the bucket-tree histograms keep their buckets in, laid out for
-/// the estimation hot path (DESIGN.md §15).
+/// the index MHist keeps its disjoint leaf buckets in, laid out for the
+/// estimation hot path (DESIGN.md §15). The bucket-tree histograms index
+/// their nested buckets with FlatBucketTree (histogram/bucket_tree.h)
+/// instead.
 ///
 /// Layout. Entry bounds live in contiguous per-dimension planes
 /// (`lo[d * stride + slot]`), so a probe touches long runs of doubles
@@ -36,9 +38,8 @@ enum class BoxOverlap {
 /// block width with never-matching sentinel bounds (`lo = +inf, hi = -inf`),
 /// so the kernel always runs full blocks.
 ///
-/// Maintenance. `Bulk` is the only way in: it rebuilds from scratch, and the
-/// bucket index calls it again after every structural change (the §10
-/// maintenance policy).
+/// Maintenance. `Bulk` is the only way in: it rebuilds from scratch. MHist
+/// builds once, at construction.
 ///
 /// Probes are const, allocation-free once `out`'s capacity is warm
 /// (fixed-size traversal stack, fixed per-leaf hit buffer), and safe to run

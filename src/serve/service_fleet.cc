@@ -280,7 +280,7 @@ Status ServiceFleet::RemoveTenant(std::string_view key) {
   std::shared_ptr<Shard> shard;
   {
     std::unique_lock<std::shared_mutex> lock(map_mutex_);
-    auto it = shards_.find(std::string(key));
+    auto it = shards_.find(key);
     if (it == shards_.end()) {
       return StatusF(StatusCode::kNotFound, "unknown tenant '%.*s'",
                      static_cast<int>(key.size()), key.data());
@@ -322,7 +322,7 @@ uint64_t ServiceFleet::TenantId(std::string_view key) const {
 std::shared_ptr<ServiceFleet::Shard> ServiceFleet::FindShard(
     std::string_view key) const {
   std::shared_lock<std::shared_mutex> lock(map_mutex_);
-  auto it = shards_.find(std::string(key));
+  auto it = shards_.find(key);
   return it == shards_.end() ? nullptr : it->second;
 }
 
@@ -343,7 +343,7 @@ std::shared_ptr<const Histogram> ServiceFleet::Snapshot(
   // shared lock keeps the shard in the map, so RemoveTenant cannot free it
   // in between.
   std::shared_lock<std::shared_mutex> lock(map_mutex_);
-  auto it = shards_.find(std::string(key));
+  auto it = shards_.find(key);
   return it == shards_.end() ? nullptr : it->second->snapshot.load();
 }
 

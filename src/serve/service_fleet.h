@@ -391,8 +391,20 @@ class ServiceFleet {
   std::unique_ptr<obs::MetricsRegistry> owned_registry_;
   obs::MetricsRegistry* registry_ = nullptr;
 
+  // Hashes std::string and std::string_view alike (the same values as
+  // std::hash<std::string>), so a lookup by string_view builds no
+  // std::string: heterogeneous find with std::equal_to<>.
+  struct KeyHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view key) const {
+      return std::hash<std::string_view>{}(key);
+    }
+  };
+
   mutable std::shared_mutex map_mutex_;
-  std::unordered_map<std::string, std::shared_ptr<Shard>> shards_;
+  std::unordered_map<std::string, std::shared_ptr<Shard>, KeyHash,
+                     std::equal_to<>>
+      shards_;
   bool stopped_ = false;  // Guarded by map_mutex_.
 
   // serve.fleet.* handles; stats() reads these same cells back.

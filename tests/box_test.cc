@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "core/rng.h"
 
 namespace sthist {
@@ -91,6 +93,34 @@ TEST(BoxTest, ApproxEquals) {
 TEST(BoxTest, ToStringMentionsEveryDimension) {
   Box b({0.0, 2.0}, {1.0, 5.0});
   EXPECT_EQ(b.ToString(), "[0,1]x[2,5]");
+}
+
+// A box owns its bounds: copies are independent, a copy may change
+// dimension, and a moved-from box is empty.
+TEST(BoxTest, CopiesOwnTheirBoundsAndMovesLeaveEmpty) {
+  Box a({0.0, 2.0}, {1.0, 5.0});
+  Box b = a;
+  b.set_hi(1, 9.0);
+  EXPECT_EQ(a.hi(1), 5.0);
+  EXPECT_EQ(b.lo_data()[1], 2.0);
+  EXPECT_EQ(b.hi_data()[1], 9.0);
+  EXPECT_FALSE(a == b);
+
+  Box c = Box::Cube(3, 0.0, 1.0);
+  c = a;
+  EXPECT_EQ(c.dim(), 2u);
+  EXPECT_TRUE(c == a);
+  const Box& same = c;
+  c = same;
+  EXPECT_TRUE(c == a);
+
+  Box d = std::move(c);
+  EXPECT_TRUE(d == a);
+  EXPECT_EQ(c.dim(), 0u);  // NOLINT(bugprone-use-after-move)
+  c = d;
+  EXPECT_TRUE(c == a);
+  EXPECT_FALSE(Box() == a);
+  EXPECT_TRUE(Box() == Box());
 }
 
 // Property sweep: intersection volume is symmetric, bounded by each operand's

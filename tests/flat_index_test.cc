@@ -5,9 +5,9 @@
 //    same hits in the same order, so the dispatch choice is unobservable;
 //  - sentinel safety: padded slots are never reported, even to an
 //    all-infinite closed-mode query that their sentinel bounds would match;
-//  - allocation: the steady-state probe path — both the raw index and a
-//    full STHoles::Estimate through BucketTreeIndex — performs zero heap
-//    allocations, counted via a global operator new hook.
+//  - allocation: the steady-state read path — both the raw index probe and
+//    a full STHoles::Estimate walking its flat bucket tree — performs zero
+//    heap allocations, counted via a global operator new hook.
 
 #include "index/flat_index.h"
 
@@ -351,8 +351,9 @@ TEST(FlatIndexAllocationTest, WarmProbeDoesNotAllocate) {
   EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0u);
 }
 
-// End to end: a warm STHoles::Estimate — probe through BucketTreeIndex,
-// indexed recursion, metrics — performs zero heap allocations per query.
+// End to end: a warm STHoles::Estimate — the walk over the flat bucket tree,
+// its thread-local hit buffer, metrics — performs zero heap allocations per
+// query.
 TEST(FlatIndexAllocationTest, WarmSTHolesEstimateDoesNotAllocate) {
   CrossConfig data_config;
   data_config.dim = 3;

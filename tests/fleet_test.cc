@@ -121,6 +121,39 @@ std::vector<double> SerialReplayEstimates(const FleetSetup& setup,
   return out;
 }
 
+// Keys longer than std::string's inline buffer take the same lookups
+// (Snapshot, FindShard and RemoveTenant find by string_view).
+TEST(FleetTest, LongKeyLifecycle) {
+  FleetSetup setup = MakeFleetSetup(1, 4, 4);
+  const DataVariant& v = *setup.variants[0];
+  const std::string key = "tenant-" + std::string(33, 'x');
+  ASSERT_EQ(key.size(), 40u);
+  ServiceFleet fleet;
+  ASSERT_TRUE(
+      fleet.AddTenant(key, MakeTenantHistogram(v, 10), *v.executor).ok());
+  EXPECT_TRUE(fleet.HasTenant(key));
+  EXPECT_FALSE(fleet.HasTenant(key.substr(0, 39)));
+  ASSERT_NE(fleet.Snapshot(key), nullptr);
+  ASSERT_TRUE(fleet.Estimate(key, setup.probes[0][0]).ok());
+  for (const Box& q : setup.feedback[0]) {
+    EXPECT_EQ(*fleet.SubmitFeedback(key, q), FleetFeedbackOutcome::kAccepted);
+  }
+  ASSERT_TRUE(fleet.DrainTenant(key).ok());
+  StatusOr<TenantStats> stats = fleet.tenant_stats(key);
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->feedback_applied, setup.feedback[0].size());
+  const std::vector<double> replay =
+      SerialReplayEstimates(setup, 0, 10, setup.feedback[0]);
+  for (size_t i = 0; i < replay.size(); ++i) {
+    StatusOr<double> est = fleet.Estimate(key, setup.probes[0][i]);
+    ASSERT_TRUE(est.ok());
+    EXPECT_TRUE(BitEqual(*est, replay[i]));
+  }
+  EXPECT_TRUE(fleet.RemoveTenant(key).ok());
+  EXPECT_FALSE(fleet.HasTenant(key));
+  EXPECT_EQ(fleet.Snapshot(key), nullptr);
+}
+
 TEST(FleetTest, TenantLifecycleStatusContract) {
   FleetSetup setup = MakeFleetSetup(1, 4, 4);
   const DataVariant& v = *setup.variants[0];

@@ -16,6 +16,7 @@
 
 #include "core/binfmt.h"
 #include "core/box.h"
+#include "core/check.h"
 #include "core/rng.h"
 #include "core/simd.h"
 #include "data/generators.h"
@@ -26,6 +27,7 @@
 #include "histogram/mhist.h"
 #include "histogram/stgrid.h"
 #include "histogram/stholes.h"
+#include "obs/metrics.h"
 #include "workload/query.h"
 #include "workload/workload.h"
 
@@ -194,6 +196,199 @@ TEST(STHolesDifferentialTest, SerializationRoundTripPreservesIdentity) {
         << "scalar kernel, probe " << q.ToString();
   }
   simd::ForceScalarForTest(false);
+}
+
+// Bucket trees synthesized as STHB snapshots (DESIGN.md §17), so the walk
+// meets exact shapes: child runs shorter than, equal to and longer than the
+// SIMD block, in every dimensionality up to 6.
+
+// One bucket of a synthesized tree; trees list their buckets in pre-order.
+struct SynthBucket {
+  uint32_t depth;
+  Box box;
+  double frequency;
+};
+
+// The STHoles histogram an STHB blob of `buckets` loads as.
+std::unique_ptr<STHoles> LoadSynthesized(
+    const std::vector<SynthBucket>& buckets) {
+  std::string payload;
+  binfmt::AppendU32(&payload, static_cast<uint32_t>(buckets[0].box.dim()));
+  binfmt::AppendU64(&payload, buckets.size());
+  for (const SynthBucket& b : buckets) {
+    binfmt::AppendU32(&payload, b.depth);
+    for (size_t d = 0; d < b.box.dim(); ++d) {
+      binfmt::AppendF64(&payload, b.box.lo(d));
+      binfmt::AppendF64(&payload, b.box.hi(d));
+    }
+    binfmt::AppendF64(&payload, b.frequency);
+  }
+  STHolesConfig config;
+  config.max_buckets = buckets.size() + 8;
+  StatusOr<std::unique_ptr<STHoles>> loaded = STHoles::DeserializeBinary(
+      binfmt::Frame("STHB", STHoles::kBinaryFormatVersion, payload), config);
+  STHIST_CHECK(loaded.ok());
+  return *std::move(loaded);
+}
+
+// `slots` slabs along dimension 0 of `parent`, each inset by a tenth of its
+// width and spanning [inset, 1 - inset] of the parent in the other
+// dimensions.
+std::vector<Box> Slabs(const Box& parent, size_t slots, double inset) {
+  std::vector<Box> slabs;
+  const double width = parent.Extent(0) / static_cast<double>(slots);
+  for (size_t i = 0; i < slots; ++i) {
+    Box b = parent;
+    b.set_lo(0, parent.lo(0) + (static_cast<double>(i) + 0.1) * width);
+    b.set_hi(0, parent.lo(0) + (static_cast<double>(i) + 0.9) * width);
+    for (size_t d = 1; d < parent.dim(); ++d) {
+      b.set_lo(d, parent.lo(d) + inset * parent.Extent(d));
+      b.set_hi(d, parent.hi(d) - inset * parent.Extent(d));
+    }
+    slabs.push_back(b);
+  }
+  return slabs;
+}
+
+// Every probe, indexed (hot) against linear, under the dispatched kernel
+// and the forced-scalar one.
+void ExpectHotReadsBitEqual(STHoles& h, const Workload& probes) {
+  for (bool scalar : {false, true}) {
+    SCOPED_TRACE(scalar ? "scalar kernel" : "dispatched kernel");
+    simd::ForceScalarForTest(scalar);
+    for (const Box& q : probes) (void)h.Estimate(q);  // Build the index.
+    ExpectAllPathsBitEqual(h, probes);
+    simd::ForceScalarForTest(false);
+  }
+}
+
+class ChildRunTest
+    : public ::testing::TestWithParam<std::tuple<size_t, size_t>> {};
+
+// A root with a run of `slots` children, the first of which holds a run of
+// `slots` grandchildren, probed by random boxes and by boxes that touch a
+// child's faces (which open-interior matching must miss).
+TEST_P(ChildRunTest, HotWalkMatchesLinear) {
+  const auto [dim, slots] = GetParam();
+  const Box domain = Box::Cube(dim, 0.0, 1000.0);
+  const std::vector<Box> children = Slabs(domain, slots, 0.1);
+  const std::vector<Box> grandchildren = Slabs(children[0], slots, 0.2);
+  std::vector<SynthBucket> buckets = {{0, domain, 5000.0}};
+  for (size_t i = 0; i < slots; ++i) {
+    buckets.push_back({1, children[i], static_cast<double>(i % 7 + 1)});
+    if (i != 0) continue;
+    for (size_t j = 0; j < slots; ++j) {
+      buckets.push_back({2, grandchildren[j], static_cast<double>(j % 5 + 2)});
+    }
+  }
+  std::unique_ptr<STHoles> h = LoadSynthesized(buckets);
+
+  Workload probes = MakeProbes(domain, 100 * dim + slots);
+  for (const std::vector<Box>* run : {&children, &grandchildren}) {
+    for (size_t i : {size_t{0}, slots / 2, slots - 1}) {
+      const Box& b = (*run)[i];
+      Box below = b;
+      below.set_hi(0, b.lo(0));
+      below.set_lo(0, b.lo(0) - 0.05 * b.Extent(0));
+      Box above = b;
+      above.set_lo(0, b.hi(0));
+      above.set_hi(0, b.hi(0) + 0.05 * b.Extent(0));
+      probes.insert(probes.end(), {b, below, above});
+    }
+  }
+  ExpectHotReadsBitEqual(*h, probes);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, ChildRunTest,
+    ::testing::Combine(::testing::Values<size_t>(1, 2, 3, 4, 5, 6),
+                       ::testing::Values<size_t>(1, 3, 4, 5, 1000)),
+    [](const auto& info) {
+      return "dim" + std::to_string(std::get<0>(info.param)) + "_slots" +
+             std::to_string(std::get<1>(info.param));
+    });
+
+// bench_index's shape: a root over [0,1000]^2 tiled by a 32 x 32 grid of
+// children that share their faces, probed by bench_index's workload.
+TEST(GridRunTest, BenchIndexGridMatchesLinear) {
+  const size_t g = 32;
+  const double width = 1000.0 / static_cast<double>(g);
+  std::vector<SynthBucket> buckets = {
+      {0, Box::Cube(2, 0.0, 1000.0), 50000.0}};
+  for (size_t i = 0; i < g; ++i) {
+    for (size_t j = 0; j < g; ++j) {
+      const double x = static_cast<double>(i) * width;
+      const double y = static_cast<double>(j) * width;
+      buckets.push_back({1, Box({x, y}, {x + width, y + width}),
+                         static_cast<double>((i + j) % 7 + 1)});
+    }
+  }
+  std::unique_ptr<STHoles> h = LoadSynthesized(buckets);
+  WorkloadConfig wc;
+  wc.num_queries = 200;
+  wc.volume_fraction = 0.01;
+  wc.seed = 13;
+  ExpectHotReadsBitEqual(*h, MakeWorkload(h->domain(), wc));
+}
+
+// Uniform data: `per_1e4` tuples per 10^4 volume units.
+class UniformOracle : public CardinalityOracle {
+ public:
+  explicit UniformOracle(double per_1e4) : per_1e4_(per_1e4) {}
+  double Count(const Box& box) const override {
+    return per_1e4_ * box.Volume() / 1e4;
+  }
+
+ private:
+  double per_1e4_;
+};
+
+// A refine that changes frequencies but no structure leaves the index built:
+// STHoles's exact-frequency correction of an existing hole, ISOMER's
+// scaling. The next hot read must see the new frequencies, because they
+// stay in the bucket nodes (DESIGN.md §10).
+template <typename HistogramT, typename ConfigT>
+void ExpectFrequencyOnlyRefineReachesHotReads() {
+  const Box domain = Box::Cube(2, 0.0, 100.0);
+  const Box box = Box::Cube(2, 10.0, 30.0);
+  const Workload probes = {box, domain, Box::Cube(2, 0.0, 20.0),
+                           Box::Cube(2, 25.0, 60.0)};
+  for (bool scalar : {false, true}) {
+    SCOPED_TRACE(scalar ? "scalar kernel" : "dispatched kernel");
+    simd::ForceScalarForTest(scalar);
+    obs::MetricsRegistry registry;
+    ConfigT config;
+    config.metrics = &registry;
+    HistogramT h(domain, 1000.0, config);
+    h.Refine(box, UniformOracle(1000.0));
+    for (int pass = 0; pass < 2; ++pass) {
+      for (const Box& q : probes) (void)h.Estimate(q);  // Build the index.
+    }
+    const double before = h.Estimate(box);
+    obs::Counter builds = registry.counter("index.bucket_tree.builds");
+    obs::Counter walks = registry.counter("index.bucket_tree.probes");
+    const uint64_t built_before = builds.value();
+    const uint64_t walked_before = walks.value();
+
+    h.Refine(box, UniformOracle(3000.0));
+    for (const Box& q : probes) {
+      EXPECT_TRUE(BitEqual(h.Estimate(q), h.EstimateLinear(q)))
+          << q.ToString();
+    }
+    EXPECT_NE(h.Estimate(box), before);
+    EXPECT_EQ(builds.value(), built_before)
+        << "the refine changed structure, so this test reads nothing hot";
+    EXPECT_GT(walks.value(), walked_before);
+    simd::ForceScalarForTest(false);
+  }
+}
+
+TEST(FrequencyOnlyRefineTest, STHolesExactFrequencyReachesHotReads) {
+  ExpectFrequencyOnlyRefineReachesHotReads<STHoles, STHolesConfig>();
+}
+
+TEST(FrequencyOnlyRefineTest, IsomerScalingReachesHotReads) {
+  ExpectFrequencyOnlyRefineReachesHotReads<IsomerHistogram, IsomerConfig>();
 }
 
 // ---------------------------------------------------------------------------
